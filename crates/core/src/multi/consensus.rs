@@ -144,21 +144,19 @@ impl MultiMem {
             if self.outval[cpu as usize][l as usize].is_some() {
                 continue;
             }
-            // Ports of level l on this cpu: (l-1)*numports+1 ..= l*numports.
-            let claims: Vec<(u32, u32)> = (1..=numports)
-                .filter_map(|q| {
-                    let pn = (l - 1) * numports + q;
-                    self.port_claims[cpu as usize][pn as usize]
-                })
-                .collect();
-            if claims.len() == numports as usize {
+            // Ports of level l on this cpu: (l-1)*numports+1 ..= l*numports,
+            // scanned in place (this runs at every port election).
+            let first = ((l - 1) * numports + 1) as usize;
+            let claims = &self.port_claims[cpu as usize][first..first + numports as usize];
+            if claims.iter().all(Option::is_some) {
                 // Level l is inaccessible to `observer` yet unpublished:
                 // an access failure caused by the preempted winners at l.
-                for &(_, wprio) in &claims {
+                let af = &mut self.af[cpu as usize][l as usize];
+                for &(_, wprio) in claims.iter().flatten() {
                     if wprio == obs_prio {
-                        self.af[cpu as usize][l as usize].same = true;
+                        af.same = true;
                     } else {
-                        self.af[cpu as usize][l as usize].diff = true;
+                        af.diff = true;
                     }
                 }
             }

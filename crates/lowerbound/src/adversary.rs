@@ -48,16 +48,17 @@ impl Decider for MaxPreempt {
                     .iter()
                     .find(|(c, p, _)| (*c, *p) == key)
                     .map(|(_, _, h)| *h);
-                let candidates: Vec<usize> = (0..n)
-                    .filter(|&i| Some(options[i]) != last)
-                    .collect();
-                let idx = if candidates.is_empty() {
-                    0
-                } else {
-                    candidates[self.rng.index(candidates.len())]
+                // Uniform among the alternatives: draw the k-th one, in
+                // place (this runs at every holder decision).
+                let alternatives = || (0..n).filter(|&i| Some(options[i]) != last);
+                let idx = match alternatives().count() {
+                    0 => 0,
+                    count => alternatives().nth(self.rng.index(count)).expect("k < count"),
                 };
-                self.last_holder.retain(|(c, p, _)| (*c, *p) != key);
-                self.last_holder.push((key.0, key.1, options[idx]));
+                match self.last_holder.iter_mut().find(|(c, p, _)| (*c, *p) == key) {
+                    Some(entry) => entry.2 = options[idx],
+                    None => self.last_holder.push((key.0, key.1, options[idx])),
+                }
                 idx
             }
             // Shortest first window: preempt as early as possible.

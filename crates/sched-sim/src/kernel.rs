@@ -266,6 +266,15 @@ struct Cpu {
     /// and this processor's term in the kernel's accumulator.
     proc_sum: u128,
     term: u128,
+    /// Dispatch state, so a statement scans only its own processor: the
+    /// pids pinned here in ascending order (fixed once added, since
+    /// processes never migrate; inline up to eight, so a fork allocates
+    /// nothing for them), how many of them are ready, and the top ready
+    /// priority. Derived from statuses, never hashed; refreshed by
+    /// [`Kernel::refresh_dispatch`] at every status transition.
+    members: SmallVec<u32, 8>,
+    ready: u32,
+    top: Option<Priority>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -600,6 +609,8 @@ impl<M> Kernel<M> {
         if self.cpus.len() <= cpu.index() {
             self.cpus.resize_with(cpu.index() + 1, Cpu::default);
         }
+        self.cpus[cpu.index()].members.push(pid.0);
+        self.refresh_dispatch(cpu.index());
         if self.track_hash {
             self.rebuild_hash();
         }
@@ -618,6 +629,8 @@ impl<M> Kernel<M> {
         let p = &mut self.procs[pid.index()];
         assert_eq!(p.status, Status::Held, "release of a non-held process");
         p.status = Status::Ready;
+        let cpu = p.cpu.index();
+        self.refresh_dispatch(cpu);
         if self.track_hash {
             self.refresh_hash(pid.index());
         }
@@ -708,6 +721,7 @@ impl<M> Kernel<M> {
             p.interleaved_higher = false;
             p.status = Status::Crashed;
         }
+        self.refresh_dispatch(cpu.index());
         // Remove the victim's window so the slot is free on recovery; an
         // open one is reported closed for the observability layer.
         let c = &mut self.cpus[cpu.index()];
@@ -754,6 +768,7 @@ impl<M> Kernel<M> {
             return;
         }
         self.procs[idx].status = Status::Ready;
+        self.refresh_dispatch(self.procs[idx].cpu.index());
         self.counters.recoveries += 1;
         if self.observing() {
             self.emit(ObsEvent::Recover { t: self.clock, pid });
@@ -931,12 +946,40 @@ impl<M> Kernel<M> {
         Arc::make_mut(&mut self.ops).reserve(additional);
     }
 
-    fn top_priority(&self, cpu: ProcessorId) -> Option<Priority> {
-        self.procs
+    /// Processor `c`'s ready count and top ready priority, recomputed
+    /// from its members' statuses.
+    fn scan_dispatch(&self, c: usize) -> (u32, Option<Priority>) {
+        self.cpus[c]
+            .members
             .iter()
-            .filter(|p| p.status == Status::Ready && p.cpu == cpu)
-            .map(|p| p.prio)
-            .max()
+            .map(|&m| &self.procs[m as usize])
+            .filter(|p| p.status == Status::Ready)
+            .fold((0, None), |(n, top), p| (n + 1, top.max(Some(p.prio))))
+    }
+
+    /// Refreshes processor `c`'s cached dispatch state after a status
+    /// transition of one of its processes (`add`, `release`, `crash`,
+    /// `recover`, or a process finishing in [`Kernel::step_core`]).
+    fn refresh_dispatch(&mut self, c: usize) {
+        let (ready, top) = self.scan_dispatch(c);
+        let cpu = &mut self.cpus[c];
+        (cpu.ready, cpu.top) = (ready, top);
+    }
+
+    /// Whether every processor's cached dispatch state equals a
+    /// recomputation: each process is a member of its own processor and
+    /// of no other, members ascend, and each ready count and top priority
+    /// match the members' statuses. Checked by a debug assertion at every
+    /// statement.
+    fn dispatch_consistent(&self) -> bool {
+        let mut members = 0;
+        let cpus_agree = self.cpus.iter().enumerate().all(|(c, cpu)| {
+            members += cpu.members.len();
+            cpu.members.windows(2).all(|w| w[0] < w[1])
+                && cpu.members.iter().all(|&m| self.procs[m as usize].cpu.index() == c)
+                && (cpu.ready, cpu.top) == self.scan_dispatch(c)
+        });
+        cpus_agree && members == self.procs.len()
     }
 
     /// Core dispatch-and-execute, parametric in a fallible choice source.
@@ -950,13 +993,22 @@ impl<M> Kernel<M> {
         // buffered so an aborted step (NeedChoice) records nothing.
         let mut taken = [(DecisionKind::Cpu, 0usize, 0usize); 3];
         let mut n_taken = 0usize;
+        debug_assert!(
+            self.dispatch_consistent(),
+            "cached per-processor dispatch state diverged from a full recomputation"
+        );
         // --- read-only phase: resolve all decisions ---
-        // Ready-cpu scan into a reusable buffer (no per-step allocation).
+        // Ready-cpu options into a reusable buffer (no per-step
+        // allocation), ascending because processors are walked in order.
         let mut cpus = std::mem::take(&mut self.scratch_cpus);
         cpus.clear();
-        cpus.extend(self.procs.iter().filter(|p| p.status == Status::Ready).map(|p| p.cpu));
-        cpus.sort_unstable();
-        cpus.dedup();
+        cpus.extend(
+            self.cpus
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.ready > 0)
+                .map(|(i, _)| ProcessorId(i as u32)),
+        );
         if cpus.is_empty() {
             self.scratch_cpus = cpus;
             return StepAttempt::Quiescent;
@@ -979,7 +1031,7 @@ impl<M> Kernel<M> {
             }
         };
         self.scratch_cpus = cpus;
-        let prio = self.top_priority(cpu).expect("runnable cpu has a top priority");
+        let prio = self.cpus[cpu.index()].top.expect("runnable cpu has a top priority");
         // Is there an open window at (cpu, prio) whose holder must continue?
         let win = self.cpus[cpu.index()]
             .windows
@@ -993,13 +1045,16 @@ impl<M> Kernel<M> {
         let (pid, new_window_credit) = match must_continue {
             Some(h) => (h, None),
             None => {
-                // Candidate-holder scan, same reusable-buffer pattern.
+                // Candidate-holder scan over this cpu's members (ascending
+                // pids), same reusable-buffer pattern.
                 let mut cands = std::mem::take(&mut self.scratch_cands);
                 cands.clear();
                 cands.extend(
-                    self.procs
+                    self.cpus[cpu.index()]
+                        .members
                         .iter()
-                        .filter(|p| p.status == Status::Ready && p.cpu == cpu && p.prio == prio)
+                        .map(|&m| &self.procs[m as usize])
+                        .filter(|p| p.status == Status::Ready && p.prio == prio)
                         .map(|p| p.pid),
                 );
                 debug_assert!(!cands.is_empty());
@@ -1105,8 +1160,9 @@ impl<M> Kernel<M> {
         // on this cpu as interleaved, and account a preemption episode for
         // this process if it was interleaved since its last statement.
         let stepper_prio = prio;
-        for p in &mut self.procs {
-            if p.pid != pid && p.cpu == cpu && p.mid_invocation && p.status == Status::Ready {
+        for &m in self.cpus[cpu.index()].members.iter() {
+            let p = &mut self.procs[m as usize];
+            if p.pid != pid && p.mid_invocation && p.status == Status::Ready {
                 if p.prio == stepper_prio {
                     p.interleaved_same = true;
                 } else if p.prio < stepper_prio {
@@ -1214,6 +1270,9 @@ impl<M> Kernel<M> {
                 None
             }
         };
+        if finished {
+            self.refresh_dispatch(cpu.index());
+        }
         self.counters.statements += 1;
         if effect != StmtEffect::Continue {
             self.counters.invocations_completed += 1;
@@ -1536,12 +1595,12 @@ impl<M> Kernel<M> {
     /// qualifies. Held processes are ignored: nothing releases them during
     /// an exploration.
     pub fn ample_cpu_choice(&self) -> Option<usize> {
-        // The runnable cpus in ascending order, scanned in place rather
-        // than collected: this runs at every explored cpu decision.
-        let runnable = |c: &usize| {
-            self.procs.iter().any(|p| p.status == Status::Ready && p.cpu.index() == *c)
+        // The runnable cpus in ascending order, read off the cached
+        // dispatch state rather than collected: this runs at every
+        // explored cpu decision.
+        let cpus = || {
+            (0..self.cpus.len()).filter(|&c| self.cpus[c].ready > 0).map(|c| ProcessorId(c as u32))
         };
-        let cpus = || (0..self.cpus.len()).filter(runnable).map(|c| ProcessorId(c as u32));
         cpus().nth(1)?;
         for (i, cpu) in cpus().enumerate() {
             let fp = self.pending_step_footprint(cpu);
@@ -1566,19 +1625,21 @@ impl<M> Kernel<M> {
     /// window forces continuation, otherwise the next statements of every
     /// candidate holder at the top ready priority.
     fn pending_step_footprint(&self, cpu: ProcessorId) -> Footprint {
-        let Some(prio) = self.top_priority(cpu) else {
+        let c = &self.cpus[cpu.index()];
+        let Some(prio) = c.top else {
             return Footprint::Unknown;
         };
-        let win = self.cpus[cpu.index()].windows.iter().find(|w| w.prio == prio && w.open);
+        let win = c.windows.iter().find(|w| w.prio == prio && w.open);
         if let Some(w) = win {
             let h = &self.procs[w.holder.index()];
             if h.status == Status::Ready && w.count < w.credit {
                 return h.machine.next_footprint();
             }
         }
-        self.procs
+        c.members
             .iter()
-            .filter(|p| p.status == Status::Ready && p.cpu == cpu && p.prio == prio)
+            .map(|&m| &self.procs[m as usize])
+            .filter(|p| p.status == Status::Ready && p.prio == prio)
             .fold(Footprint::LOCAL, |acc, p| acc.union(p.machine.next_footprint()))
     }
 }
@@ -1597,6 +1658,7 @@ mod tests {
     use crate::decision::{RoundRobin, Scripted, SeededRandom};
     use crate::history::check_well_formed;
     use crate::machine::FnMachine;
+    use crate::rng::SplitMix64;
 
     /// A machine that appends its tag to a shared log, `len` statements per
     /// invocation, `invs` invocations.
@@ -1886,6 +1948,126 @@ mod tests {
         let mut d2 = RoundRobin::new();
         k2.run(&mut d2, 100);
         assert_eq!(k2.mem, vec![1, 1, 1]);
+    }
+
+    /// One processor's dispatch state recomputed over every process,
+    /// independently of the cached membership: (members, ready count, top
+    /// ready priority).
+    fn full_scan_dispatch<M>(k: &Kernel<M>, c: usize) -> (Vec<u32>, u32, Option<Priority>) {
+        let on_cpu = || k.procs.iter().filter(move |p| p.cpu.index() == c);
+        let ready = || on_cpu().filter(|p| p.status == Status::Ready);
+        (on_cpu().map(|p| p.pid.0).collect(), ready().count() as u32, ready().map(|p| p.prio).max())
+    }
+
+    fn assert_dispatch_matches_full_scan<M>(k: &Kernel<M>, what: &str) {
+        for (c, cpu) in k.cpus.iter().enumerate() {
+            let cached = (cpu.members.to_vec(), cpu.ready, cpu.top);
+            assert_eq!(cached, full_scan_dispatch(k, c), "{what}: cpu {c}");
+        }
+        assert!(k.dispatch_consistent(), "{what}");
+    }
+
+    /// Records the options of every decision it answers, choosing at
+    /// random.
+    struct OptionRecorder {
+        rng: SplitMix64,
+        cpus: Vec<Vec<ProcessorId>>,
+        holders: Vec<(ProcessorId, Priority, Vec<ProcessId>)>,
+    }
+
+    impl Decider for OptionRecorder {
+        fn choose(&mut self, choice: Choice<'_>, n: usize) -> usize {
+            match choice {
+                Choice::Cpu { options } => self.cpus.push(options.to_vec()),
+                Choice::Holder { cpu, prio, options } => {
+                    self.holders.push((cpu, prio, options.to_vec()))
+                }
+                Choice::FirstCredit { .. } => {}
+            }
+            self.rng.index(n)
+        }
+    }
+
+    /// Steps `k` once under `d` and checks each decision's options
+    /// against the full-scan derivation: every cpu with a ready process,
+    /// sorted and deduplicated, then the cpu's ready pids at its top
+    /// priority, ascending.
+    fn step_and_check_options(k: &mut Kernel<Vec<u64>>, d: &mut OptionRecorder) -> bool {
+        let mut cpu_opts: Vec<ProcessorId> =
+            k.procs.iter().filter(|p| p.status == Status::Ready).map(|p| p.cpu).collect();
+        cpu_opts.sort_unstable();
+        cpu_opts.dedup();
+        let holder_opts = |cpu: ProcessorId| {
+            let top = full_scan_dispatch(k, cpu.index()).2;
+            let at_top = |p: &&ProcEntry<Vec<u64>>| {
+                p.status == Status::Ready && p.cpu == cpu && Some(p.prio) == top
+            };
+            (top, k.procs.iter().filter(at_top).map(|p| p.pid).collect::<Vec<_>>())
+        };
+        let expected_holders: Vec<_> =
+            (0..k.cpus.len() as u32).map(|c| holder_opts(ProcessorId(c))).collect();
+        d.cpus.clear();
+        d.holders.clear();
+        let stepped = k.step(d).is_some();
+        assert_eq!(stepped, !cpu_opts.is_empty());
+        for opts in &d.cpus {
+            assert_eq!(opts, &cpu_opts, "cpu options");
+        }
+        for (cpu, prio, opts) in &d.holders {
+            let (top, expected) = &expected_holders[cpu.index()];
+            assert_eq!((Some(*prio), opts), (*top, expected), "holder options on {cpu:?}");
+        }
+        stepped
+    }
+
+    #[test]
+    fn cached_dispatch_state_matches_a_full_scan() {
+        // Random add / add_held / release / crash / recover / step
+        // sequences on multi-processor, multi-priority kernels: after every
+        // operation, and on a fork, each processor's cached dispatch state
+        // equals a recomputation over every process, and every decision
+        // offers exactly the options the full scans would.
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n_cpus = rng.range_u32(1, 4);
+            let spec = SystemSpec::hybrid(rng.range_u32(0, 4)).with_adversarial_alignment();
+            let mut k = Kernel::new(Vec::new(), spec);
+            k.enable_crashes();
+            let rng_d = SplitMix64::new(!seed);
+            let mut d = OptionRecorder { rng: rng_d, cpus: Vec::new(), holders: Vec::new() };
+            for op in 0..80u32 {
+                let pick = |rng: &mut SplitMix64, k: &Kernel<Vec<u64>>| {
+                    ProcessId(rng.index(k.n_processes().max(1)) as u32)
+                };
+                match rng.index(8) {
+                    0 | 1 if k.n_processes() < 20 => {
+                        let (cpu, prio) = (rng.range_u32(0, n_cpus), rng.range_u32(1, 4));
+                        let m = logger(u64::from(op), rng.range_u32(1, 4), rng.range_u32(1, 3));
+                        if rng.coin() {
+                            k.add_process(ProcessorId(cpu), Priority(prio), m);
+                        } else {
+                            k.add_held_process(ProcessorId(cpu), Priority(prio), m);
+                        }
+                    }
+                    2 => {
+                        let held = k.procs.iter().find(|p| p.status == Status::Held).map(|p| p.pid);
+                        if let Some(pid) = held {
+                            k.release(pid);
+                        }
+                    }
+                    3 if k.n_processes() > 0 => k.crash(pick(&mut rng, &k)),
+                    4 if k.n_processes() > 0 => k.recover(pick(&mut rng, &k)),
+                    5 => while step_and_check_options(&mut k, &mut d) {},
+                    _ => {
+                        for _ in 0..rng.range_u32(1, 6) {
+                            step_and_check_options(&mut k, &mut d);
+                        }
+                    }
+                }
+                assert_dispatch_matches_full_scan(&k, &format!("seed {seed} op {op}"));
+            }
+            assert_dispatch_matches_full_scan(&k.clone(), &format!("seed {seed} fork"));
+        }
     }
 
     #[test]

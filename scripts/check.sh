@@ -28,6 +28,17 @@ rm -rf "$smoke_dir" && mkdir -p "$smoke_dir"
 (cd "$smoke_dir" && ../../target/release/experiments --thm1 --jobs 2 > /dev/null)
 target/release/experiments --validate "$smoke_dir/BENCH_sweeps.json"
 
+echo "== Table 1 grid (experiments --table1 --jobs 2) + byte-for-byte artifact gate =="
+# The full Table 1 grid runs in under a second and is a pure function of
+# its seeds, so it runs in full and must reproduce the committed
+# BENCH_table1.json byte for byte: a change to the kernel's dispatch, the
+# Fig. 7 program or the adversaries that moves one decision shows up here.
+# No SKIP switch: the gate reads no clock.
+(cd "$smoke_dir" && ../../target/release/experiments --table1 --jobs 2 > /dev/null)
+target/release/experiments --validate "$smoke_dir/BENCH_table1.json"
+target/release/experiments --validate "$smoke_dir/BENCH_table1.timing.json"
+cmp "$smoke_dir/BENCH_table1.json" BENCH_table1.json
+
 echo "== perf smoke (experiments --perf --smoke) + throughput gate =="
 # A shrunk throughput sweep through the same JSONL artifact path, schema-
 # checked, then compared against the committed BENCH_perf.json: the gate

@@ -13,6 +13,11 @@
 //! or symmetry-canonical hash, reading the 128-bit key, and the
 //! partial-order-reduction query allocate nothing.
 //!
+//! A whole Fig. 7 adversary run, the Table 1 grid's unit of work, is held
+//! to the same contract: under a warmed-up [`MaxPreempt`] and with the op
+//! log reserved, the multi-processor algorithm's statements, its oracle
+//! bookkeeping and the adversary's holder decisions allocate nothing.
+//!
 //! This file deliberately holds a single test: the `#[global_allocator]`
 //! counts process-wide, so a second concurrently-running test would
 //! pollute the measurement window.
@@ -20,6 +25,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use hybrid_wf::multi::consensus::LocalMode;
+use lowerbound::adversary::{fig7_kernel, MaxPreempt};
 use sched_sim::kernel::HashCfg;
 use sched_sim::machine::Footprint;
 use sched_sim::program::{Flow, ProgMachine, ProgramBuilder};
@@ -132,6 +139,33 @@ fn assert_steady_state_alloc_free(
     assert!(k.mem >= 1_000, "statements must actually have executed");
 }
 
+/// Runs `fig7_kernel(3, 3, 3, 1, q, Modeled)` to completion under
+/// `decider` and asserts that everything after its first statement
+/// allocated nothing. The first statement sizes the kernel's scratch
+/// buffers; the op log is reserved before it. Retried like
+/// [`assert_steady_state_alloc_free`], on a fresh kernel each time.
+fn assert_fig7_run_alloc_free(q: u32, decider: &mut MaxPreempt) {
+    let mut allocated = 0;
+    for _attempt in 0..3 {
+        let mut k = fig7_kernel(3, 3, 3, 1, q, LocalMode::Modeled);
+        k.reserve_ops(k.n_processes());
+        assert!(k.step(decider).is_some(), "a fresh Fig. 7 kernel has ready processes");
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let steps = k.run(decider, 1_000_000);
+        allocated = ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(k.all_finished(), "Fig. 7 run at Q = {q} must finish");
+        assert!(steps > 0, "statements must actually have executed");
+        if allocated == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        allocated, 0,
+        "Fig. 7 run at Q = {q} allocated {allocated} times under MaxPreempt \
+         (in three consecutive runs)"
+    );
+}
+
 #[test]
 fn steady_state_step_loop_does_not_allocate() {
     let mut k = spinning_kernel(1);
@@ -163,5 +197,13 @@ fn steady_state_step_loop_does_not_allocate() {
             assert_eq!(k.ample_cpu_choice(), None, "every cpu writes the one shared cell");
         });
         assert_ne!(keys, 0, "keys must actually have been computed");
+    }
+
+    // Whole Fig. 7 adversary runs. One uncounted run first grows the
+    // adversary's per-(cpu, priority) holder memory to its final size.
+    let mut adversary = MaxPreempt::new(0);
+    fig7_kernel(3, 3, 3, 1, 1, LocalMode::Modeled).run(&mut adversary, 1_000_000);
+    for q in [1, 2, 4, 8] {
+        assert_fig7_run_alloc_free(q, &mut adversary);
     }
 }
