@@ -17,6 +17,10 @@
 //!   while Fig. 3 agreement is only *validity*-checked (no commodity
 //!   scheduler promises Axiom 2 — see EXPERIMENTS.md, "Native execution").
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
+
 use hybrid_wf::generic::Universal;
 use hybrid_wf::oracle::{check_linearizable, timed_ops};
 use hybrid_wf::uni::consensus::MIN_QUANTUM;
@@ -49,12 +53,50 @@ fn fig3_lockstep_agrees_at_legal_quantum() {
     }
 }
 
+/// CPU-burning background threads, one per available CPU, that spin
+/// until dropped: they make the OS preempt the lockstep worker threads at
+/// arbitrary points, so any wall-clock leak into a lockstep record shows.
+struct CpuLoad {
+    stop: Arc<AtomicBool>,
+    spinners: Vec<thread::JoinHandle<()>>,
+}
+
+impl CpuLoad {
+    fn start() -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+        let spinners = (0..cpus)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    let mut x = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+                    }
+                })
+            })
+            .collect();
+        CpuLoad { stop, spinners }
+    }
+}
+
+impl Drop for CpuLoad {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for h in self.spinners.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
 /// The lower-bound half, pinned: at `Q = 1` the known seeds split the
-/// decision — and do so deterministically (two runs, identical outputs),
-/// while every decided value is still one that was proposed (validity
-/// survives even when agreement falls).
+/// decision — and do so deterministically, under CPU load: two runs
+/// produce identical operation records (ticket stamps, pids, invocation
+/// indices and outputs), while every decided value is still one that was
+/// proposed (validity survives even when agreement falls).
 #[test]
 fn fig3_lockstep_q1_pinned_seeds_disagree_deterministically() {
+    let _load = CpuLoad::start();
     for (n, seeds) in Q1_SPLIT_SEEDS {
         let inputs = fig3_inputs(n);
         for seed in seeds {
@@ -68,9 +110,8 @@ fn fig3_lockstep_q1_pinned_seeds_disagree_deterministically() {
             }
             let again = run_fig3(&inputs, Pacing::Lockstep { seed, quantum: 1 });
             assert_eq!(
-                again.outputs(),
-                run.outputs(),
-                "n={n} seed={seed}: lockstep schedule is not deterministic"
+                again.records, run.records,
+                "n={n} seed={seed}: lockstep records are not a function of the seed"
             );
         }
     }
