@@ -1,8 +1,8 @@
 //! The paper's algorithms written **once**, generic over
 //! [`wfmem::backend::MemBackend`].
 //!
-//! Everything else in this crate is a statement-level `ProgMachine`
-//! program: ideal for the simulator's exhaustive explorer and deterministic
+//! Everything else in this crate is a statement-level machine (mostly
+//! `ProgMachine` programs): ideal for the simulator's exhaustive explorer and deterministic
 //! replay, but unable to run on two hardware threads. This module is the
 //! other half of the backend split (see `BACKENDS.md`): direct-style
 //! implementations of Fig. 3 consensus, the Fig. 5-interface C&S + Read
@@ -10,7 +10,7 @@
 //! [`MemBackend`] cell vocabulary so the *same function bodies* execute on
 //!
 //! * [`wfmem::SimBackend`] — sequential, deterministic, step-counted (the
-//!   cross-check against the statement-level twins), and
+//!   cross-check against the statement-level machines), and
 //! * the `native` crate's backends — real `std::sync::atomic` cells on OS
 //!   threads, either freely scheduled or under the deterministic lockstep
 //!   scheduler that enforces the paper's hybrid axioms.

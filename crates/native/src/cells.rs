@@ -10,7 +10,7 @@
 //! discipline the ROADMAP's `waitfree-sync` exemplar follows.
 //!
 //! `⊥` is represented by the same [`EMPTY`] sentinel (`u64::MAX`) the
-//! [`crate::objects`] module and the simulator's queue spec already use;
+//! simulator's queue spec already uses;
 //! register and consensus cells therefore cannot store `u64::MAX` itself
 //! (asserted). Memory orderings are chosen per cell and justified in
 //! `BACKENDS.md`: registers are `SeqCst` (the read/write algorithms'
@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// `⊥` for value-carrying atomic words (shared with [`crate::objects`]).
+/// `⊥` for value-carrying atomic words.
 pub const EMPTY: u64 = u64::MAX;
 
 /// Pads (and aligns) `T` to a 64-byte cache line to prevent false sharing.

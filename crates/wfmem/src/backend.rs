@@ -64,7 +64,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use crate::{CConsensus, LocalConsensus, ModeledCas, OptVal, Reg, Val};
+use crate::{LocalConsensus, ModeledCas, OptVal, Reg, Val};
 
 /// An atomic read/write register holding a value or `⊥`.
 ///
@@ -168,14 +168,14 @@ impl SimInner {
 /// access (and every explicit [`step`](MemBackend::step)) into a shared
 /// statement counter — [`steps`](SimBackend::steps) — so backend-generic
 /// algorithms remain step-auditable exactly like their statement-level
-/// `ProgMachine` twins.
+/// counterparts.
 ///
 /// This backend is `!Send` by construction (cells share an [`Rc`]): a
 /// backend-generic algorithm runs on it sequentially, in program order,
 /// which is itself a legal hybrid schedule (no preemptions at all).
 /// Interleaved executions of the *same generic code* are the native
 /// lockstep backend's job; exhaustive interleaving of the statement-level
-/// twins remains the `sched-sim` explorer's.
+/// machines remains the `sched-sim` explorer's.
 ///
 /// # Examples
 ///
@@ -310,38 +310,6 @@ impl MemBackend for SimBackend {
     }
 }
 
-/// A step-counted capped `C`-consensus cell over [`CConsensus`], for
-/// backend-generic code that needs the *capped* (Fig. 7 port) semantics.
-///
-/// Not part of the [`MemBackend`] trait — the capped object is specific to
-/// the Fig. 7 port discipline, and the native twin
-/// (`native::objects::AtomicCConsensus`) predates the trait — but provided
-/// so simulator-side code can mirror that discipline over the same hook.
-#[derive(Debug)]
-pub struct SimCCons {
-    hook: Rc<SimInner>,
-    cell: RefCell<CConsensus>,
-}
-
-impl SimCCons {
-    /// Creates a capped cell with consensus number `cap` counting into
-    /// `backend`'s statement counter.
-    pub fn new(backend: &SimBackend, cap: u32) -> Self {
-        SimCCons { hook: backend.inner.clone(), cell: RefCell::new(CConsensus::new(cap)) }
-    }
-
-    /// Atomically invokes the object with proposal `v` (counted).
-    pub fn invoke(&self, v: Val) -> Option<Val> {
-        self.hook.bump();
-        self.cell.borrow_mut().invoke(v)
-    }
-
-    /// The number of invocations performed so far.
-    pub fn invocations(&self) -> u32 {
-        self.cell.borrow().invocations()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,16 +359,6 @@ mod tests {
         assert_eq!(c.decide(6), 4);
         assert_eq!(c.read(), Some(4));
         assert_eq!(c.invocations(), 2);
-    }
-
-    #[test]
-    fn capped_cell_returns_bottom_after_cap() {
-        let b = SimBackend::new();
-        let c = SimCCons::new(&b, 2);
-        assert_eq!(c.invoke(1), Some(1));
-        assert_eq!(c.invoke(2), Some(1));
-        assert_eq!(c.invoke(3), None);
-        assert_eq!(b.steps(), 3);
     }
 
     #[test]

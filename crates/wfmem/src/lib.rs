@@ -27,18 +27,18 @@
 //! mutated one atomic statement at a time by whatever machine the
 //! `sched-sim` kernel is stepping. Nothing here knows about priorities,
 //! quanta, or histories; that separation is what lets the same object
-//! models serve the simulator, the exhaustive explorer, and the
-//! `native` real-atomics port (which re-implements them over
-//! `std::sync::atomic` with the same invocation accounting).
+//! models serve both the simulator and the exhaustive explorer.
 //!
-//! The [`backend`] module abstracts over that split: [`MemBackend`] is the
+//! The [`backend`] module carries the algorithms onto real hardware
+//! threads: [`MemBackend`] is the
 //! cell vocabulary (register / C&S / consensus cell plus a process-local
 //! step hook) that lets the Fig. 3 and universal-construction algorithms
 //! in `hybrid-wf::generic` be written once and instantiated both on
 //! [`SimBackend`] (deterministic, step-counted, built from the cells
-//! above) and on the `native` crate's cache-padded atomic backends. See
-//! `BACKENDS.md` at the repository root for the trait contract and the
-//! per-backend guarantees.
+//! above) and on the `native` crate's cache-padded atomic backends. The
+//! capped [`CConsensus`] has no backend cell: Fig. 7 (`C < ∞`) runs on the
+//! simulator only. See `BACKENDS.md` at the repository root for the trait
+//! contract and the per-backend guarantees.
 //!
 //! # Examples
 //!
