@@ -36,9 +36,7 @@
 //!                   sharded universal-object services under thousands of
 //!                   multiplexed clients → `BENCH_service.json` with
 //!                   per-shard throughput and request-latency percentiles
-//!                   (explicit-only; `--smoke` shrinks it;
-//!                   `--service-baseline FILE` gates per-request cost
-//!                   against a committed artifact)
+//!                   (explicit-only; `--smoke` shrinks it)
 //!
 //! `--profile` runs Fig. 3 / Fig. 5 / universal / Fig. 7 at their legal
 //! quanta under storm and random deciders with a streaming profiler
@@ -106,8 +104,6 @@ struct RunArgs {
     smoke: bool,
     /// Committed `BENCH_perf.json` to gate `--perf` against.
     perf_baseline: Option<String>,
-    /// Committed `BENCH_service.json` to gate `--service` against.
-    service_baseline: Option<String>,
     /// Committed `BENCH_explore.json` to gate `--explore` against.
     explore_baseline: Option<String>,
     /// Directory for shrunk fuzz counterexamples (`--fuzz-dir DIR`).
@@ -117,11 +113,10 @@ struct RunArgs {
 impl RunArgs {
     /// Options (flags that consume the next argument, plus `--smoke`);
     /// everything else starting with `--` selects an experiment.
-    const OPTS: [&'static str; 6] = [
+    const OPTS: [&'static str; 5] = [
         "--jobs",
         "--smoke",
         "--perf-baseline",
-        "--service-baseline",
         "--explore-baseline",
         "--fuzz-dir",
     ];
@@ -141,7 +136,6 @@ impl RunArgs {
                 .unwrap_or_else(default_jobs),
             smoke: args.iter().any(|a| a == "--smoke"),
             perf_baseline: value_of("--perf-baseline"),
-            service_baseline: value_of("--service-baseline"),
             explore_baseline: value_of("--explore-baseline"),
             fuzz_dir: value_of("--fuzz-dir").unwrap_or_else(|| "tests/golden/fuzz".to_string()),
         }
@@ -287,7 +281,7 @@ fn main() {
     // invocations at full scale).
     let mut service_ok = true;
     if flags.iter().any(|a| *a == "--service") {
-        let (lines, ok) = service(run.jobs, run.smoke, run.service_baseline.as_deref());
+        let (lines, ok) = service(run.jobs, run.smoke);
         write_artifact("BENCH_service.json", &lines);
         service_ok = ok;
     }
@@ -645,9 +639,8 @@ fn crash_grid(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
 /// serving a multiplexed client population over the sweep worker pool —
 /// prints the per-configuration summary, and returns the JSONL lines for
 /// `BENCH_service.json` plus the gate flag: `false` if any configuration
-/// failed to finish inside its step budget, or (with a baseline) if
-/// per-request cost regressed past the threshold.
-fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool) {
+/// failed to finish inside its step budget.
+fn service(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
     let cfgs = lowerbound::service::grid(smoke);
     println!(
         "── Service engine: {} (object, arrival) configurations ({}, {jobs} jobs) ──",
@@ -693,75 +686,8 @@ fn service(jobs: usize, smoke: bool, baseline: Option<&str>) -> (Vec<Json>, bool
     if !ok {
         println!("  SERVICE GATE FAILED: a configuration exhausted its step budget");
     }
-    if let Some(base) = baseline {
-        if !service_gate(&lines, base) {
-            ok = false;
-        }
-    }
     println!();
     (lines, ok)
-}
-
-/// Compares fresh service totals against a committed `BENCH_service.json`
-/// by (object, arrival); returns `false` (→ nonzero exit) if any
-/// configuration's per-request statement cost grew past 1/0.70× the
-/// baseline. `steps_per_request` is fully deterministic (wall time never
-/// enters it), so the gate is immune to machine speed — only an algorithmic
-/// or scheduling change can trip it.
-fn service_gate(fresh: &[Json], base_path: &str) -> bool {
-    let text = match std::fs::read_to_string(base_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("  service baseline {base_path}: {e}");
-            return false;
-        }
-    };
-    let totals = |cells: &[Json]| -> Vec<(String, String, f64)> {
-        cells
-            .iter()
-            .filter(|l| l.get("kind").and_then(Json::as_str) == Some("service_total"))
-            .filter_map(|l| {
-                let cell = l.get("cell")?;
-                Some((
-                    cell.get("object")?.as_str()?.to_string(),
-                    cell.get("arrival")?.as_str()?.to_string(),
-                    l.get("steps_per_request")?.as_f64()?,
-                ))
-            })
-            .collect()
-    };
-    let base_cells: Vec<Json> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| Json::parse(l).ok())
-        .collect();
-    let base = totals(&base_cells);
-    let now = totals(fresh);
-    let mut ok = true;
-    println!("  service gate vs {base_path} (fail above 1/0.70× baseline steps/request):");
-    for (object, arrival, b) in &base {
-        let Some((_, _, n)) =
-            now.iter().find(|(o, a, _)| o == object && a == arrival)
-        else {
-            eprintln!("    {object}/{arrival}: missing from fresh run");
-            ok = false;
-            continue;
-        };
-        if *b <= 0.0 {
-            println!("    {object}/{arrival}: baseline cost is zero — skipped");
-            continue;
-        }
-        let ratio = n / b;
-        let verdict = if ratio <= 1.0 / 0.70 { "ok" } else { "REGRESSED" };
-        println!(
-            "    {object}/{arrival}: {n:.3} vs baseline {b:.3} steps/request ({ratio:.2}×) {verdict}"
-        );
-        if ratio > 1.0 / 0.70 {
-            ok = false;
-        }
-    }
-    ok
 }
 
 fn lemma1() {

@@ -74,40 +74,39 @@ fi
 target/release/experiments --validate "$smoke_dir/BENCH_explore.json"
 target/release/experiments --validate "$smoke_dir/BENCH_explore.timing.json"
 
-echo "== fuzz smoke (experiments --fuzz --smoke --jobs 2) + artifact validation =="
-# The adversarial schedule fuzzer over every algorithm family: exits
-# nonzero on an oracle violation at legal Q (a real bug) or on a missing
-# violation where Theorem 3 predicts impossibility. Counterexample
-# artifacts land in a scratch dir so the committed corpus under
-# tests/golden/fuzz/ is not clobbered. Set SKIP_FUZZ_GATE=1 to skip.
-if [[ -n "${SKIP_FUZZ_GATE:-}" ]]; then
-  skipped_gates+=(SKIP_FUZZ_GATE)
-  echo "   skipped (SKIP_FUZZ_GATE set)"
-else
-  (cd "$smoke_dir" && ../../target/release/experiments --fuzz --smoke --jobs 2 \
-      --fuzz-dir fuzz-artifacts > /dev/null)
-  target/release/experiments --validate "$smoke_dir/BENCH_fuzz.json"
-  target/release/experiments --validate "$smoke_dir/BENCH_fuzz.timing.json"
-fi
+echo "== fuzz grid (experiments --fuzz --jobs 4) + byte-for-byte artifact gate =="
+# The adversarial schedule fuzzer over every algorithm family, full grid:
+# exits nonzero on an oracle violation at legal Q (a real bug) or on a
+# missing violation where Theorem 3 predicts impossibility. The grid is a
+# pure function of its seeds, so it must reproduce the committed
+# BENCH_fuzz.json and both shrunk counterexample traces under
+# tests/golden/fuzz/ byte for byte (`diff -r` also catches a missing or
+# extra trace). The traces land in the scratch dir so the committed
+# corpus is not clobbered. --jobs 4 runs above the CPU count of small
+# hosts, so parallel == serial is also tested oversubscribed. No SKIP
+# switch: the gate reads no clock.
+(cd "$smoke_dir" && ../../target/release/experiments --fuzz --jobs 4 \
+    --fuzz-dir fuzz-artifacts > /dev/null)
+target/release/experiments --validate "$smoke_dir/BENCH_fuzz.json"
+target/release/experiments --validate "$smoke_dir/BENCH_fuzz.timing.json"
+cmp "$smoke_dir/BENCH_fuzz.json" BENCH_fuzz.json
+diff -r "$smoke_dir/fuzz-artifacts" tests/golden/fuzz
 
-echo "== profile smoke (experiments --profile --smoke --jobs 2) + artifact validation =="
-# The schedule profiler over every algorithm family, parallel, plus
-# offline profiling of both committed fuzz counterexamples (which also
-# exercises the Perfetto exporter byte-pinned by tests/tests/
-# perfetto_golden.rs). Artifacts land in the scratch dir so the committed
-# BENCH_profile.json is not clobbered. Set SKIP_PROFILE_GATE=1 to skip.
-if [[ -n "${SKIP_PROFILE_GATE:-}" ]]; then
-  skipped_gates+=(SKIP_PROFILE_GATE)
-  echo "   skipped (SKIP_PROFILE_GATE set)"
-else
-  (cd "$smoke_dir" && ../../target/release/experiments --profile --smoke --jobs 2 > /dev/null)
-  target/release/experiments --validate "$smoke_dir/BENCH_profile.json"
-  target/release/experiments --validate "$smoke_dir/BENCH_profile.timing.json"
-  (cd "$smoke_dir" && ../../target/release/experiments \
-      --profile-trace ../../tests/golden/fuzz/fuzz_fig3_q1_storm_s5.trace > /dev/null)
-  (cd "$smoke_dir" && ../../target/release/experiments \
-      --profile-trace ../../tests/golden/fuzz/fuzz_fig7_q1_storm_s1.trace > /dev/null)
-fi
+echo "== profile grid (experiments --profile --jobs 4) + byte-for-byte artifact gate =="
+# The schedule profiler over every algorithm family, full grid, must
+# reproduce the committed BENCH_profile.json byte for byte (parallel ==
+# serial, oversubscribed), plus offline profiling of both committed fuzz
+# counterexamples (which also exercises the Perfetto exporter byte-pinned
+# by tests/tests/perfetto_golden.rs). No SKIP switch: the gate reads no
+# clock.
+(cd "$smoke_dir" && ../../target/release/experiments --profile --jobs 4 > /dev/null)
+target/release/experiments --validate "$smoke_dir/BENCH_profile.json"
+target/release/experiments --validate "$smoke_dir/BENCH_profile.timing.json"
+cmp "$smoke_dir/BENCH_profile.json" BENCH_profile.json
+(cd "$smoke_dir" && ../../target/release/experiments \
+    --profile-trace ../../tests/golden/fuzz/fuzz_fig3_q1_storm_s5.trace > /dev/null)
+(cd "$smoke_dir" && ../../target/release/experiments \
+    --profile-trace ../../tests/golden/fuzz/fuzz_fig7_q1_storm_s1.trace > /dev/null)
 
 echo "== native smoke (experiments --native --smoke) + artifact validation =="
 # The native-backend grid: the backend-generic algorithms on real OS
@@ -128,40 +127,29 @@ else
   target/release/experiments --validate "$smoke_dir/BENCH_native.timing.json"
 fi
 
-echo "== service smoke (experiments --service --smoke --jobs 2) + artifact validation =="
-# The request-serving workload engine: the (object, arrival) service grid
-# at CI scale, parallel, gated against the committed BENCH_service.json.
-# The gate compares steps_per_request — fully deterministic, so it is
-# immune to machine speed; it fails only if an algorithmic or scheduling
-# change made requests cost > 1/0.70x the committed baseline, or if a
-# configuration exhausted its step budget. Set SKIP_SERVICE_GATE=1 to
-# skip the baseline comparison (the smoke run and schema validation
-# still execute).
-if [[ -n "${SKIP_SERVICE_GATE:-}" ]]; then
-  skipped_gates+=(SKIP_SERVICE_GATE)
-  (cd "$smoke_dir" && ../../target/release/experiments --service --smoke --jobs 2 > /dev/null)
-else
-  (cd "$smoke_dir" && ../../target/release/experiments --service --smoke --jobs 2 \
-      --service-baseline ../../BENCH_service.json > /dev/null)
-fi
+echo "== service grid (experiments --service --jobs 4) + byte-for-byte artifact gate =="
+# The request-serving workload engine, full grid: exits nonzero if a
+# configuration exhausts its step budget, and must reproduce the
+# committed BENCH_service.json byte for byte — every statement count,
+# percentile and step total, parallel == serial, oversubscribed. No SKIP
+# switch: the gate reads no clock.
+(cd "$smoke_dir" && ../../target/release/experiments --service --jobs 4 > /dev/null)
 target/release/experiments --validate "$smoke_dir/BENCH_service.json"
 target/release/experiments --validate "$smoke_dir/BENCH_service.timing.json"
+cmp "$smoke_dir/BENCH_service.json" BENCH_service.json
 
-echo "== crash smoke (experiments --crash --smoke --jobs 2) + artifact validation =="
-# The crash-and-restart grid: crash/recover lifecycle plans over the
+echo "== crash grid (experiments --crash --jobs 4) + byte-for-byte artifact gate =="
+# The crash-and-restart grid, full: crash/recover lifecycle plans over the
 # central families under noisy schedules, scored by the recovery-safe
 # oracles (agreement, exactly-once, linearizability across the recovery
 # boundary), plus the churn service cell. Exits nonzero on any oracle
-# violation or a planned crash that failed to fire. Set SKIP_CRASH_GATE=1
-# to skip.
-if [[ -n "${SKIP_CRASH_GATE:-}" ]]; then
-  skipped_gates+=(SKIP_CRASH_GATE)
-  echo "   skipped (SKIP_CRASH_GATE set)"
-else
-  (cd "$smoke_dir" && ../../target/release/experiments --crash --smoke --jobs 2 > /dev/null)
-  target/release/experiments --validate "$smoke_dir/BENCH_crash.json"
-  target/release/experiments --validate "$smoke_dir/BENCH_crash.timing.json"
-fi
+# violation or a planned crash that failed to fire, and must reproduce
+# the committed BENCH_crash.json byte for byte. No SKIP switch: the gate
+# reads no clock.
+(cd "$smoke_dir" && ../../target/release/experiments --crash --jobs 4 > /dev/null)
+target/release/experiments --validate "$smoke_dir/BENCH_crash.json"
+target/release/experiments --validate "$smoke_dir/BENCH_crash.timing.json"
+cmp "$smoke_dir/BENCH_crash.json" BENCH_crash.json
 
 if (( ${#skipped_gates[@]} )); then
   echo "All checks passed. Gates skipped this run: ${skipped_gates[*]}"
