@@ -1165,20 +1165,39 @@ fn explore_grid_report(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
             ok = false;
         }
     }
-    // Per-workload state-space reduction factor.
     for cfg in lowerbound::explore_grid::grid(smoke) {
-        let visited = |kind: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.get("kind").and_then(Json::as_str) == Some(kind)
-                        && r.get("cell").and_then(|c| c.get("workload")).and_then(Json::as_str)
-                            == Some(cfg.name)
-                })
-                .and_then(|r| r.get("visited"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
+        let row = |kind: &str| {
+            rows.iter().find(|r| {
+                r.get("kind").and_then(Json::as_str) == Some(kind)
+                    && r.get("cell").and_then(|c| c.get("workload")).and_then(Json::as_str)
+                        == Some(cfg.name)
+            })
         };
-        let (u, r) = (visited("explore_serial"), visited("explore_reduced"));
+        let n = |kind: &str, key: &str| row(kind).and_then(|r| r.get(key)).and_then(Json::as_u64);
+        // An untruncated parallel run reproduces its serial twin's counts
+        // exactly (truncated runs depend on thread timing).
+        for (serial, par) in
+            [("explore_serial", "explore_parallel"), ("explore_reduced", "explore_reduced_par")]
+        {
+            let untruncated =
+                row(par).and_then(|r| r.get("truncation")).and_then(Json::as_str) == Some("none");
+            for key in ["steps", "terminals", "deduped", "por_pruned", "visited"] {
+                if untruncated && n(serial, key) != n(par, key) {
+                    eprintln!(
+                        "    ^^ FAILED: {} {par} {key} {:?} != {serial} {:?}",
+                        cfg.name,
+                        n(par, key),
+                        n(serial, key)
+                    );
+                    ok = false;
+                }
+            }
+        }
+        // Per-workload state-space reduction factor.
+        let (u, r) = (
+            n("explore_serial", "visited").unwrap_or(0),
+            n("explore_reduced", "visited").unwrap_or(0),
+        );
         if r > 0 {
             println!(
                 "    {:>14} reduction: {u} → {r} visited states ({:.1}×)",

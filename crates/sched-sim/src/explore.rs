@@ -20,10 +20,14 @@
 //!
 //! * **Parallel frontier sharding** ([`explore_parallel`]): workers on the
 //!   [`crate::sweep::pool`] pop subtree roots from a shared deque of forked
-//!   kernels and claim states exactly once in a sharded global dedup
-//!   table. [`ExploreStats`] merge commutatively, so an **untruncated**
-//!   parallel run is bit-identical to serial at every jobs count (the
-//!   same guarantee [`crate::sweep::run_cells`] pins).
+//!   kernels and claim states exactly once in a global lock-free visited
+//!   table (one CAS on the state's own slot; the table grows only at the
+//!   workers' step-budget reservations). A worker that adopts a subtree
+//!   root from the deque gives it private reference counts, so the
+//!   per-state path writes no other shared cache line. [`ExploreStats`]
+//!   merge commutatively, so an **untruncated** parallel run is
+//!   bit-identical to serial at every jobs count (the same guarantee
+//!   [`crate::sweep::run_cells`] pins).
 //! * **Symmetry reduction** ([`ExploreBounds::symmetry`]): processes at
 //!   equal priority on one processor — and whole processors — are
 //!   interchangeable, so the state hash is canonicalized under those
@@ -54,13 +58,15 @@
 //! explored states like a random function; it is unkeyed, which is fine
 //! for simulator states and would not be for adversarial input.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::kernel::{HashCfg, Kernel, StepAttempt};
 use crate::sweep;
+use crate::visited::VisitedTable;
 
 /// The dedup keys are already state hashes, so the visited set stores them
 /// under an identity "hasher" instead of re-hashing through SipHash on
@@ -393,7 +399,9 @@ type Work<M> = (Kernel<M>, Script, u64);
 /// per-step path writes nothing shared. Reservations never exceed
 /// [`ExploreBounds::max_total_steps`], and a worker that finds the budget
 /// spent hands its work to the others, so a step-bounded parallel run
-/// executes exactly the budget, as the serial explorer does.
+/// executes exactly the budget, as the serial explorer does. Every claim
+/// follows a reserved step, so a worker claims at most this many states
+/// between reservations: the visited table's growth bound.
 const STEP_CHUNK: u64 = 1024;
 
 /// Shared state of one parallel exploration.
@@ -405,17 +413,34 @@ struct Frontier<M> {
     idle: usize,
 }
 
+impl<M> Frontier<M> {
+    /// Adds `delta` to `idle`, mirroring the result into the starvation
+    /// hint.
+    fn add_idle(&mut self, delta: isize, hint: &AtomicUsize) {
+        self.idle = self.idle.wrapping_add_signed(delta);
+        hint.store(self.idle, Ordering::Relaxed);
+    }
+}
+
+/// Keeps a field on cache lines of its own, so writes to its neighbours
+/// never invalidate it (128 bytes: a line pair, for adjacent-line
+/// prefetchers).
+#[repr(align(128))]
+struct Padded<T>(T);
+
 struct SharedExplore<M, F> {
+    /// Read on every step and at every chain end, written about once per
+    /// exploration: kept apart from the fields written at reservations.
+    stop: Padded<AtomicBool>,
+    /// [`Frontier::idle`], readable without the frontier lock.
+    idle_hint: Padded<AtomicUsize>,
     queue: Mutex<Frontier<M>>,
     cvar: Condvar,
-    /// Sharded global dedup table: a state is *claimed* by the worker
-    /// whose insert wins; every later arrival counts as deduped. Sharding
-    /// by high hash bits keeps lock contention low.
-    shards: Vec<Mutex<VisitedSet>>,
-    shard_mask: u64,
+    /// The global dedup table: a state is *claimed* by the worker whose
+    /// CAS on its slot wins; every later arrival counts as deduped.
+    visited: VisitedTable,
     /// Statements reserved by workers so far (see [`STEP_CHUNK`]).
     steps: AtomicU64,
-    stop: AtomicBool,
     /// Per-worker counters, folded in once as each worker exits, and the
     /// reason of any halt.
     totals: Mutex<ExploreStats>,
@@ -424,20 +449,18 @@ struct SharedExplore<M, F> {
 }
 
 impl<M, F> SharedExplore<M, F> {
-    fn shard(&self, h: u128) -> &Mutex<VisitedSet> {
-        // Top bits of the primary hash: disjoint from the HashSet's bucket
-        // bits (which come from the low end of the folded key).
-        &self.shards[((h as u64) >> 48 & self.shard_mask) as usize]
-    }
-
     /// Truncates and abandons the whole exploration: every worker drains
     /// its remaining work unexplored.
     fn halt(&self, t: Truncation) {
         let mut totals = self.totals.lock().expect("stats poisoned");
         totals.truncation = totals.truncation.max(t);
         drop(totals);
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.0.store(true, Ordering::Relaxed);
         self.cvar.notify_all();
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.0.load(Ordering::Relaxed)
     }
 
     /// Reserves up to [`STEP_CHUNK`] statements of the budget `max`;
@@ -458,7 +481,7 @@ impl<M, F> SharedExplore<M, F> {
     fn retire(&self, local: &mut Vec<Work<M>>) {
         let mut q = self.queue.lock().expect("frontier poisoned");
         q.items.append(local);
-        q.idle += 1;
+        q.add_idle(1, &self.idle_hint.0);
         self.cvar.notify_all();
     }
 
@@ -471,7 +494,7 @@ impl<M, F> SharedExplore<M, F> {
             if let Some(w) = q.items.pop() {
                 return Some(w);
             }
-            q.idle += 1;
+            q.add_idle(1, &self.idle_hint.0);
             if q.idle == self.jobs {
                 self.cvar.notify_all();
                 return None;
@@ -480,14 +503,14 @@ impl<M, F> SharedExplore<M, F> {
             if q.idle == self.jobs && q.items.is_empty() {
                 return None;
             }
-            q.idle -= 1;
+            q.add_idle(-1, &self.idle_hint.0);
         }
     }
 
     /// Moves the *oldest* (shallowest, hence largest) half of an
     /// overfull local stack to the shared frontier if anyone is starving.
     fn donate(&self, local: &mut Vec<Work<M>>) {
-        if local.len() < 2 {
+        if local.len() < 2 || self.idle_hint.0.load(Ordering::Relaxed) == 0 {
             return;
         }
         if let Ok(mut q) = self.queue.try_lock() {
@@ -504,12 +527,15 @@ impl<M, F> SharedExplore<M, F> {
 /// [`crate::sweep::pool`] with a shared work frontier.
 ///
 /// Workers pop subtree roots (forked kernels) from a shared deque and
-/// claim each state exactly once in a sharded global dedup table keyed by
-/// [`Kernel::state_hash`] (or [`Kernel::state_hash_wide`]). Everything
-/// else a step touches is worker-local: counters are kept per worker and
-/// folded once at exit and the step budget is reserved `STEP_CHUNK`
-/// statements at a time, so the only shared write on the per-state path
-/// is the dedup-shard insert.
+/// claim each state exactly once in a global lock-free dedup table keyed
+/// by [`Kernel::state_hash`] (or [`Kernel::state_hash_wide`]): a claim is
+/// one CAS on the state's own slot. Everything else a step touches is
+/// worker-local: counters are kept per worker and folded once at exit,
+/// the step budget is reserved `STEP_CHUNK` statements at a time (the
+/// table grows only at those reservations), and a worker that adopts a
+/// subtree root from the frontier first gives it private copies of the
+/// reference-counted parts its forks would otherwise share with another
+/// worker's. So the only shared write on the per-state path is the claim.
 ///
 /// **Determinism**: on a run with [`Truncation::None`], every
 /// [`ExploreStats`] field — and the multiset of terminal states passed to
@@ -543,47 +569,73 @@ where
     }
     let mut root = kernel.clone();
     root.track_state_hash_cfg(bounds.hash_cfg());
-    let root_hash = root.state_hash_wide();
-    let n_shards = (jobs * 8).next_power_of_two().min(64);
+    let visited = VisitedTable::new(jobs, STEP_CHUNK);
+    visited.read().claim(root.state_hash_wide());
+    visited.publish(1);
     let shared = SharedExplore {
+        stop: Padded(AtomicBool::new(false)),
+        idle_hint: Padded(AtomicUsize::new(0)),
         queue: Mutex::new(Frontier { items: vec![(root, Script::default(), 0)], idle: 0 }),
         cvar: Condvar::new(),
-        shards: (0..n_shards).map(|_| Mutex::new(VisitedSet::default())).collect(),
-        shard_mask: (n_shards - 1) as u64,
+        visited,
         steps: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
         totals: Mutex::new(ExploreStats::default()),
         jobs,
         on_terminal,
     };
-    shared.shard(root_hash).lock().expect("dedup shard poisoned").insert(root_hash);
 
     sweep::pool(jobs, |_w| {
         let mut local: Vec<Work<M>> = Vec::new();
         let mut st = ExploreStats::default();
         // Statements this worker has reserved from the budget so far.
         let mut reserved = 0u64;
+        // Fresh claims since this worker last published them, and its
+        // claim access to the visited table: held from one reservation to
+        // the next, dropped before blocking on the frontier.
+        let claims = Cell::new(0u64);
+        let claimer = RefCell::new(None);
         loop {
             shared.donate(&mut local);
-            let Some(w) = local.pop().or_else(|| shared.global_pop()) else {
-                break;
+            let w = match local.pop() {
+                Some(w) => w,
+                None => {
+                    claimer.replace(None);
+                    let Some(mut w) = shared.global_pop() else {
+                        break;
+                    };
+                    // Adopted from another worker: stop sharing its
+                    // reference counts with that worker's kernels.
+                    w.0.unshare();
+                    w
+                }
             };
-            if shared.stop.load(Ordering::Relaxed) {
+            if shared.stopped() {
                 continue; // drain remaining work unexplored
             }
+            if claimer.borrow().is_none() {
+                claimer.replace(Some(shared.visited.read()));
+            }
             let gate = |st: &ExploreStats| {
-                if shared.stop.load(Ordering::Relaxed) {
+                if shared.stopped() {
                     return Gate::Stop(None); // drain remaining work unexplored
                 }
                 if st.steps == reserved {
+                    // The table grows only here, with no claimer held.
+                    claimer.replace(None);
                     match shared.reserve(bounds.max_total_steps) {
                         0 => return Gate::Stop(Some(Truncation::StepBound)),
                         n => reserved += n,
                     }
+                    claimer.replace(Some(shared.visited.checkpoint(claims.take())));
                 }
                 Gate::Go
             };
-            let claim = |h| shared.shard(h).lock().expect("dedup shard poisoned").insert(h);
+            let claim = |h| {
+                let fresh =
+                    claimer.borrow().as_ref().expect("chains run with a claimer held").claim(h);
+                claims.set(claims.get() + u64::from(fresh));
+                fresh
+            };
             match run_chain(w, &bounds, &mut st, &mut local, gate, claim, &shared.on_terminal) {
                 None => {}
                 Some(Truncation::StepBound) => {
@@ -593,6 +645,8 @@ where
                 Some(t) => shared.halt(t),
             }
         }
+        claimer.replace(None);
+        shared.visited.publish(claims.get());
         let mut t = shared.totals.lock().expect("stats poisoned");
         t.terminals += st.terminals;
         t.steps += st.steps;
@@ -605,11 +659,7 @@ where
     if !shared.queue.lock().expect("frontier poisoned").items.is_empty() {
         stats.truncation = stats.truncation.max(Truncation::StepBound);
     }
-    stats.peak_visited = shared
-        .shards
-        .iter()
-        .map(|s| s.lock().expect("dedup shard poisoned").len() as u64)
-        .sum();
+    stats.peak_visited = shared.visited.len();
     stats
 }
 

@@ -195,6 +195,15 @@ impl<M> Slot<M> {
             *self = Slot::Shared(Arc::from(b.box_clone()));
         }
     }
+
+    /// Replaces the machine with a copy that shares nothing with it (see
+    /// [`StepMachine::box_clone_unshared`]).
+    fn unshare(&mut self) {
+        match self {
+            Slot::Owned(b) => *b = b.box_clone_unshared(),
+            Slot::Shared(a) => *a = Arc::from(a.box_clone_unshared()),
+        }
+    }
 }
 
 impl<M> Clone for Slot<M> {
@@ -944,6 +953,25 @@ impl<M> Kernel<M> {
     /// the record push stays allocation-free on the steady-state step path.
     pub fn reserve_ops(&mut self, additional: usize) {
         Arc::make_mut(&mut self.ops).reserve(additional);
+    }
+
+    /// Gives this kernel private copies of everything it shares with the
+    /// kernel it was forked from: the event log, the op records, every
+    /// machine and crash snapshot, and (through
+    /// [`StepMachine::box_clone_unshared`]) what machines share with
+    /// their clones. Afterwards forking, stepping and dropping it and its
+    /// own forks touch no reference count its source's forks touch. The
+    /// parallel explorer calls this on every subtree root a worker adopts
+    /// from another worker; the state is unchanged.
+    pub(crate) fn unshare(&mut self) {
+        self.history = Arc::new(History::clone(&self.history));
+        self.ops = Arc::new(Vec::clone(&self.ops));
+        for p in &mut self.procs {
+            p.machine.unshare();
+            if let Some(s) = p.inv_snapshot.as_mut() {
+                s.unshare();
+            }
+        }
     }
 
     /// Processor `c`'s ready count and top ready priority, recomputed
@@ -1948,6 +1976,79 @@ mod tests {
         let mut d2 = RoundRobin::new();
         k2.run(&mut d2, 100);
         assert_eq!(k2.mem, vec![1, 1, 1]);
+    }
+
+    /// A read-then-write increment of `mem` by `tag`, three invocations,
+    /// as a [`ProgMachine`] (whose clones share a reference count).
+    fn incrementer(tag: u64) -> Box<dyn StepMachine<u64>> {
+        use crate::program::{Flow, ProgMachine, ProgramBuilder};
+        let mut b = ProgramBuilder::<u64, u64>::new();
+        let inc = b.proc("inc");
+        b.stmt(inc, "read", |l, m| {
+            *l = *m;
+            Flow::Next
+        });
+        b.stmt(inc, "write", move |l, m| {
+            *l += tag;
+            *m = *l;
+            Flow::Return
+        });
+        let prog = b.build();
+        let plan: crate::program::InvocationPlan<u64> =
+            Arc::new(move |_, i| (i < 3).then_some(inc));
+        Box::new(ProgMachine::with_plan(&prog, 0, plan).with_output(|l| Some(*l)))
+    }
+
+    #[test]
+    fn unshared_fork_runs_like_its_source() {
+        let mut k = Kernel::new(0u64, SystemSpec::hybrid(2));
+        k.add_process(ProcessorId(0), Priority(1), incrementer(1));
+        k.add_process(ProcessorId(0), Priority(1), incrementer(10));
+        k.add_process(
+            ProcessorId(1),
+            Priority(2),
+            Box::new(FnMachine::new(|mem: &mut u64, calls| {
+                *mem += 100;
+                if calls == 1 {
+                    (StepOutcome::Finished, Some(*mem))
+                } else {
+                    (StepOutcome::Continue, None)
+                }
+            })),
+        );
+        k.enable_crashes();
+        k.track_state_hash_cfg(HashCfg { symmetric: false, wide: true });
+        let mut d = SeededRandom::new(7);
+        for _ in 0..5 {
+            k.step(&mut d);
+        }
+        assert!(!k.ops.is_empty(), "the fork point follows a completed invocation");
+
+        let mut u = k.clone();
+        u.unshare();
+        assert_eq!(Arc::strong_count(&u.history), 1);
+        assert_eq!(Arc::strong_count(&u.ops), 1);
+        for p in &u.procs {
+            for slot in std::iter::once(&p.machine).chain(p.inv_snapshot.as_ref()) {
+                match slot {
+                    Slot::Shared(a) => assert_eq!(Arc::strong_count(a), 1),
+                    Slot::Owned(_) => panic!("a tracked kernel shares its machines"),
+                }
+            }
+        }
+
+        let (mut dk, mut du) = (SeededRandom::new(11), SeededRandom::new(11));
+        loop {
+            assert_eq!(u.state_hash_wide(), k.state_hash_wide());
+            assert_eq!(u.ops(), k.ops());
+            assert_eq!(u.mem, k.mem);
+            let (a, b) = (k.step(&mut dk), u.step(&mut du));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            if a.is_none() {
+                break;
+            }
+        }
+        assert_eq!(u.ops().len(), 7, "three invocations each, and one more");
     }
 
     /// One processor's dispatch state recomputed over every process,

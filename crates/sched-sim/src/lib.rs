@@ -87,6 +87,7 @@ pub mod service;
 pub mod shrink;
 mod smallvec;
 mod statehash;
+mod visited;
 pub mod sweep;
 pub mod sym;
 pub mod trace;

@@ -191,6 +191,16 @@ pub trait StepMachine<M>: Send + Sync {
     /// points.
     fn box_clone(&self) -> Box<dyn StepMachine<M>>;
 
+    /// Like [`StepMachine::box_clone`], but the copy also shares no
+    /// reference-counted state with `self`, so the two can be cloned and
+    /// dropped on different threads without touching a common counter.
+    /// The parallel explorer uses it when a worker adopts another
+    /// worker's subtree. The default is `box_clone`, right for machines
+    /// that hold no `Arc`s.
+    fn box_clone_unshared(&self) -> Box<dyn StepMachine<M>> {
+        self.box_clone()
+    }
+
     /// Feeds the machine's full execution state into `h`.
     ///
     /// Used by the explorer for visited-state de-duplication; two machines

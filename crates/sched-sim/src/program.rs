@@ -530,6 +530,10 @@ where
         Box::new(self.clone())
     }
 
+    fn box_clone_unshared(&self) -> Box<dyn StepMachine<M>> {
+        Box::new(ProgMachine { shared: Arc::new(Shared::clone(&self.shared)), ..self.clone() })
+    }
+
     fn state_key(&self, h: &mut dyn Hasher) {
         // Hash through a concrete hasher (no virtual call per field), then
         // hand both lanes on so 128-bit keys keep their full width.
@@ -604,6 +608,26 @@ mod tests {
         assert_eq!(m.step(&mut mem, &mut ctx()), StepOutcome::Continue);
         assert_eq!(m.step(&mut mem, &mut ctx()), StepOutcome::Finished);
         assert_eq!(m.output(), Some(15));
+    }
+
+    #[test]
+    fn unshared_clone_takes_no_reference_to_the_source() {
+        let mut b = ProgramBuilder::<L, u64>::new();
+        let main = b.proc("main");
+        b.stmt(main, "1", |l, m| {
+            l.ret = *m + 1;
+            Flow::Return
+        });
+        let prog = b.build();
+        let m = ProgMachine::single_shot(&prog, L::default(), main).with_output(|l| Some(l.ret));
+        let shared = |m: &ProgMachine<L, u64>| Arc::strong_count(&m.shared);
+        let _plain = m.box_clone();
+        assert_eq!(shared(&m), 2, "a plain clone shares");
+        let mut unshared = m.box_clone_unshared();
+        assert_eq!(shared(&m), 2, "an unshared clone does not");
+        let mut mem = 4u64;
+        assert_eq!(unshared.step(&mut mem, &mut ctx()), StepOutcome::Finished);
+        assert_eq!(unshared.output(), Some(5));
     }
 
     #[test]

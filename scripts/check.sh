@@ -58,12 +58,16 @@ target/release/experiments --validate "$smoke_dir/BENCH_perf.json"
 echo "== explore smoke (experiments --explore --smoke --jobs 4) + steps/sec gate =="
 # The exhaustive-exploration grid at CI scale: every smoke workload is
 # fully verified in all four explorer modes (serial, parallel, reduced,
-# reduced-parallel), the rows are schema-checked, and each mode's steps/sec
-# is compared against the committed BENCH_explore.json: the gate fails if
-# any explorer kind fell below 70% of the committed baseline, or if any
-# reduced row failed verification. Set SKIP_EXPLORE_GATE=1 to skip the
-# regression comparison (e.g. on heavily-loaded or throttled machines);
-# the smoke run, verification, and schema validation still execute.
+# reduced-parallel), every untruncated parallel row must reproduce its
+# serial twin's steps, terminals, deduped, por_pruned and visited exactly
+# (at --jobs 4, oversubscribed on small hosts), the rows are
+# schema-checked, and each mode's steps/sec is compared against the
+# committed BENCH_explore.json: the gate fails if any explorer kind fell
+# below 70% of the committed baseline, or if any reduced row failed
+# verification. Set SKIP_EXPLORE_GATE=1 to skip the regression comparison
+# (e.g. on heavily-loaded or throttled machines); the smoke run,
+# verification, the parallel == serial pin and schema validation still
+# execute.
 if [[ -n "${SKIP_EXPLORE_GATE:-}" ]]; then
   skipped_gates+=(SKIP_EXPLORE_GATE)
   (cd "$smoke_dir" && ../../target/release/experiments --explore --smoke --jobs 4 > /dev/null)

@@ -2,7 +2,7 @@
 //! reduction is sound.
 //!
 //! The frontier-sharded parallel explorer claims *determinism*: because
-//! every state is claimed exactly once in the sharded global dedup table,
+//! every state is claimed exactly once in the global visited table,
 //! each of `terminals`, `steps`, `deduped`, `por_pruned` and
 //! `peak_visited` is independent of visit order whenever no bound
 //! truncates the run — so the parallel stats must equal the serial ones
@@ -20,6 +20,7 @@
 //!   the orbit.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
@@ -65,6 +66,47 @@ fn parallel_matches_serial_stats_and_terminals() {
             assert_eq!(serial_terms, par_terms, "terminals diverged at jobs={jobs} wide={wide}");
         }
     }
+}
+
+/// The same pin with every cpu busy: one CPU-burning thread per available
+/// cpu spins while the parallel explorer runs oversubscribed at jobs 2, 3
+/// and 8, so workers can be descheduled mid-claim and mid-growth. The
+/// symmetric five-proposer workload visits 113,642 states, enough for the
+/// visited table to grow several times from its initial size at every
+/// jobs count.
+#[test]
+fn parallel_matches_serial_under_load() {
+    let k = fig3_kernel(MIN_QUANTUM, &[7; 5]);
+    let bounds = ExploreBounds::default().reduced();
+    let (serial, serial_terms) = terminal_multiset(&k, bounds, 1);
+    assert_eq!(serial.truncation, Truncation::None);
+    assert_eq!(serial.peak_visited, 113_642);
+
+    /// Stops the burners when dropped, also while a failed assertion
+    /// unwinds, so the scope can join them.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let done = AtomicBool::new(false);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|scope| {
+        for _ in 0..cpus {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let _stop = Stop(&done);
+        for jobs in [2, 3, 8] {
+            let (par, par_terms) = terminal_multiset(&k, bounds, jobs);
+            assert_eq!(serial, par, "stats diverged under load at jobs={jobs}");
+            assert_eq!(serial_terms, par_terms, "terminals diverged under load at jobs={jobs}");
+        }
+    });
 }
 
 /// POR soundness on the fuzz-grid Fig. 3 configuration (three processes,
