@@ -15,7 +15,6 @@
 //! * `--fig8`      — Fig. 8: the level/port layout
 //! * `--poly-vs-exp` — polynomial Fig. 7 vs exponential baseline
 //! * `--obs`       — observability: per-run counters + capture/replay demo
-//! * `--perf`      — throughput sweep (steps/sec) → `BENCH_perf.json`
 //! * `--fuzz`      — adversarial schedule fuzz over every algorithm family
 //!                   → `BENCH_fuzz.json` (never part of the default `--all`
 //!                   run; must be requested explicitly)
@@ -24,8 +23,9 @@
 //!                   timelines (like `--fuzz`, explicit-only)
 //! * `--native`    — the native-backend grid: the backend-generic
 //!                   algorithms on real OS threads, cross-validated by the
-//!                   simulator oracles → `BENCH_native.json` (explicit-only;
-//!                   `--smoke` shrinks it for the `check.sh` gate)
+//!                   simulator oracles → `BENCH_native.json` (lockstep rows;
+//!                   free-mode rows go whole to the timing sidecar;
+//!                   explicit-only)
 //! * `--crash`     — the crash-and-restart grid: crash/recover lifecycle
 //!                   plans over Fig. 3 / universal / Fig. 7 under noisy
 //!                   schedules, scored by recovery-safe oracles, plus a
@@ -37,6 +37,12 @@
 //!                   multiplexed clients → `BENCH_service.json` with
 //!                   per-shard throughput and request-latency percentiles
 //!                   (explicit-only; `--smoke` shrinks it)
+//! * `--explore`   — exhaustive Lemma 1 verification in every explorer
+//!                   mode → `BENCH_explore.json` (explicit-only; `--smoke`
+//!                   runs a prefix of the full grid)
+//!
+//! Any other `--` flag that is not a run option is rejected: the harness
+//! prints the known experiments and exits 2.
 //!
 //! `--profile` runs Fig. 3 / Fig. 5 / universal / Fig. 7 at their legal
 //! quanta under storm and random deciders with a streaming profiler
@@ -45,10 +51,6 @@
 //! histograms, merged per family. `--profile-trace FILE` instead profiles
 //! a committed `.trace` artifact offline and writes its Perfetto timeline
 //! next to the current directory.
-//!
-//! `--perf` accepts two modifiers: `--smoke` shrinks the workloads for CI,
-//! and `--perf-baseline FILE` compares the fresh rates against a committed
-//! `BENCH_perf.json`, exiting nonzero on a > 30% per-kind regression.
 //!
 //! `--fuzz` drives hostile deciders (`sched_sim::fuzz`) against every
 //! family at legal and sub-threshold quanta, checking each family's safety
@@ -68,7 +70,7 @@
 //! so regeneration never dirties a committed artifact. `--validate FILE`
 //! checks either kind of artifact against its schema and exits.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hybrid_wf::multi::consensus::LocalMode;
 use hybrid_wf::multi::failures::{lemma2_holds, lemma3_bound_holds, summarize};
@@ -83,9 +85,9 @@ use lowerbound::profile::{
     family_timeline, n_seeds, profile_trace_text, report_lines, run_grid, FAMILIES,
     PROFILE_DECIDERS,
 };
-use lowerbound::valency::{bivalent_chain_depth, bivalent_chain_probe};
+use lowerbound::valency::bivalent_chain_depth;
 use sched_sim::decision::RoundRobin;
-use sched_sim::explore::{check_all_schedules, explore, explore_parallel, ExploreBounds, Verdict};
+use sched_sim::explore::{check_all_schedules, explore, ExploreBounds, Verdict};
 use sched_sim::ids::{ProcessId, ProcessorId, Priority};
 use sched_sim::kernel::SystemSpec;
 use sched_sim::report::{
@@ -102,10 +104,6 @@ struct RunArgs {
     jobs: usize,
     /// CI-scale workloads (`--smoke`).
     smoke: bool,
-    /// Committed `BENCH_perf.json` to gate `--perf` against.
-    perf_baseline: Option<String>,
-    /// Committed `BENCH_explore.json` to gate `--explore` against.
-    explore_baseline: Option<String>,
     /// Directory for shrunk fuzz counterexamples (`--fuzz-dir DIR`).
     fuzz_dir: String,
 }
@@ -113,12 +111,28 @@ struct RunArgs {
 impl RunArgs {
     /// Options (flags that consume the next argument, plus `--smoke`);
     /// everything else starting with `--` selects an experiment.
-    const OPTS: [&'static str; 5] = [
-        "--jobs",
-        "--smoke",
-        "--perf-baseline",
-        "--explore-baseline",
-        "--fuzz-dir",
+    const OPTS: [&'static str; 3] = ["--jobs", "--smoke", "--fuzz-dir"];
+
+    /// The experiment selectors `main` dispatches on.
+    const EXPERIMENTS: [&'static str; 18] = [
+        "--all",
+        "--lemma1",
+        "--thm1",
+        "--thm2",
+        "--fig8",
+        "--thm4",
+        "--failures",
+        "--thm3",
+        "--valency",
+        "--table1",
+        "--poly-vs-exp",
+        "--obs",
+        "--fuzz",
+        "--profile",
+        "--native",
+        "--service",
+        "--crash",
+        "--explore",
     ];
 
     fn parse(args: &[String]) -> Self {
@@ -135,18 +149,22 @@ impl RunArgs {
                 .map(|n| n.parse::<usize>().expect("--jobs needs an integer"))
                 .unwrap_or_else(default_jobs),
             smoke: args.iter().any(|a| a == "--smoke"),
-            perf_baseline: value_of("--perf-baseline"),
-            explore_baseline: value_of("--explore-baseline"),
             fuzz_dir: value_of("--fuzz-dir").unwrap_or_else(|| "tests/golden/fuzz".to_string()),
         }
     }
 
     /// The experiment-selector flags: `--`-prefixed arguments that are not
-    /// run options.
-    fn mode_flags(args: &[String]) -> Vec<&String> {
-        args.iter()
+    /// run options. Errs with the first one that names no experiment, so a
+    /// typo or a removed experiment fails instead of running nothing.
+    fn mode_flags(args: &[String]) -> Result<Vec<&String>, &String> {
+        let flags: Vec<&String> = args
+            .iter()
             .filter(|a| a.starts_with("--") && !Self::OPTS.contains(&a.as_str()))
-            .collect()
+            .collect();
+        match flags.iter().find(|a| !Self::EXPERIMENTS.contains(&a.as_str())) {
+            Some(unknown) => Err(unknown),
+            None => Ok(flags),
+        }
     }
 }
 
@@ -212,7 +230,10 @@ fn main() {
     }
 
     let run = RunArgs::parse(&args);
-    let flags = RunArgs::mode_flags(&args);
+    let flags = RunArgs::mode_flags(&args).unwrap_or_else(|unknown| {
+        eprintln!("unknown experiment {unknown}; known: {}", RunArgs::EXPERIMENTS.join(" "));
+        std::process::exit(2);
+    });
     let all = flags.is_empty() || flags.iter().any(|a| *a == "--all");
     let want = |flag: &str| all || flags.iter().any(|a| *a == flag);
 
@@ -245,7 +266,7 @@ fn main() {
     }
     if want("--table1") {
         let cells = table1(run.jobs);
-        write_artifact("BENCH_table1.json", &cells);
+        write_artifact("BENCH_table1.json", &cells, &[]);
     }
     if want("--poly-vs-exp") {
         poly_vs_exp();
@@ -257,7 +278,7 @@ fn main() {
     let mut fuzz_ok = true;
     if want_fuzz {
         let (cells, ok) = fuzz(run.jobs, run.smoke, &run.fuzz_dir);
-        write_artifact("BENCH_fuzz.json", &cells);
+        write_artifact("BENCH_fuzz.json", &cells, &[]);
         fuzz_ok = ok;
     }
     // Like --fuzz, the profiler sweep is explicit-only: it re-runs four
@@ -265,15 +286,15 @@ fn main() {
     // `--all` report does not need.
     if flags.iter().any(|a| *a == "--profile") {
         let lines = profile_sweep(run.jobs, run.smoke);
-        write_artifact("BENCH_profile.json", &lines);
+        write_artifact("BENCH_profile.json", &lines, &[]);
     }
     // The native grid spawns real OS threads per cell, so it is also
     // explicit-only (and ignores `--jobs`: nesting thread-per-process
     // cells under a worker pool would oversubscribe the machine).
     let mut native_ok = true;
     if flags.iter().any(|a| *a == "--native") {
-        let (lines, ok) = native_grid(run.smoke);
-        write_artifact("BENCH_native.json", &lines);
+        let (lockstep, free, ok) = native_grid();
+        write_artifact("BENCH_native.json", &lockstep, &free);
         native_ok = ok;
     }
     // The request-serving workload engine: long-lived universal-object
@@ -282,7 +303,7 @@ fn main() {
     let mut service_ok = true;
     if flags.iter().any(|a| *a == "--service") {
         let (lines, ok) = service(run.jobs, run.smoke);
-        write_artifact("BENCH_service.json", &lines);
+        write_artifact("BENCH_service.json", &lines, &[]);
         service_ok = ok;
     }
     // The crash-and-restart grid: explicit-only like --fuzz (it exists for
@@ -290,35 +311,20 @@ fn main() {
     let mut crash_ok = true;
     if flags.iter().any(|a| *a == "--crash") {
         let (lines, ok) = crash_grid(run.jobs, run.smoke);
-        write_artifact("BENCH_crash.json", &lines);
+        write_artifact("BENCH_crash.json", &lines, &[]);
         crash_ok = ok;
     }
     // Exhaustive exploration at scale: the parallel/reduced explorer grid.
-    // Explicit-only (the full grid model-checks multi-million-state trees);
-    // gated against the committed baseline like --perf.
+    // Explicit-only (the full grid model-checks multi-million-state trees).
     if flags.iter().any(|a| *a == "--explore") {
         let (cells, ok) = explore_grid_report(run.jobs, run.smoke);
-        write_artifact("BENCH_explore.json", &cells);
+        write_artifact("BENCH_explore.json", &cells, &[]);
         if !ok {
             std::process::exit(1);
         }
-        if let Some(base) = &run.explore_baseline {
-            if !perf_gate(&cells, base) {
-                std::process::exit(1);
-            }
-        }
-    }
-    if want("--perf") {
-        let cells = perf(run.smoke, run.jobs);
-        write_artifact("BENCH_perf.json", &cells);
-        if let Some(base) = &run.perf_baseline {
-            if !perf_gate(&cells, base) {
-                std::process::exit(1);
-            }
-        }
     }
     if !sweeps.is_empty() {
-        write_artifact("BENCH_sweeps.json", &sweeps);
+        write_artifact("BENCH_sweeps.json", &sweeps, &[]);
     }
     if !fuzz_ok || !native_ok || !service_ok || !crash_ok {
         std::process::exit(1);
@@ -331,7 +337,9 @@ fn main() {
 /// Wall times are split out of every cell (`report::split_timing`) into a
 /// `<stem>.timing.json` sidecar, so the canonical artifact is bit-identical
 /// across regenerations and machines; the sidecar is gitignored.
-fn write_artifact(path: &str, lines: &[Json]) {
+/// `sidecar_rows` go whole into the sidecar: cells whose payload the host
+/// scheduler decides, so they can never be part of the committed artifact.
+fn write_artifact(path: &str, lines: &[Json], sidecar_rows: &[Json]) {
     let mut out =
         String::from("# hybrid-wf sweep artifact: one JSON cell per line (see sched_sim::report)\n");
     let mut timing = String::from(
@@ -348,6 +356,10 @@ fn write_artifact(path: &str, lines: &[Json]) {
             timed += 1;
         }
     }
+    for row in sidecar_rows {
+        timing.push_str(&row.to_string());
+        timing.push('\n');
+    }
     let schema = schema_for_path(std::path::Path::new(path));
     let cells = validate_cells(&out, schema).expect("artifact failed self-validation");
     std::fs::write(path, out).expect("write artifact");
@@ -357,7 +369,11 @@ fn write_artifact(path: &str, lines: &[Json]) {
     };
     validate_cells(&timing, TIMING_SCHEMA).expect("timing sidecar failed self-validation");
     std::fs::write(&sidecar, timing).expect("write timing sidecar");
-    println!("  [artifact] wrote {path} ({cells} cells; {timed} wall times → {sidecar})\n");
+    let whole = match sidecar_rows.len() {
+        0 => String::new(),
+        n => format!(" + {n} whole rows"),
+    };
+    println!("  [artifact] wrote {path} ({cells} cells; {timed} wall times{whole} → {sidecar})\n");
 }
 
 fn wall_ms(d: Duration) -> f64 {
@@ -527,19 +543,17 @@ fn profile_sweep(jobs: usize, smoke: bool) -> Vec<Json> {
 /// Runs the backend-generic algorithms on real OS threads (free and
 /// lockstep pacing), scores every cell against the simulator's
 /// agreement/linearizability oracles, prints the grid, and returns the
-/// JSONL lines for `BENCH_native.json` plus the gate flag: `false` — and
-/// so a nonzero exit — on a `BUG` (violation on a backend that must be
-/// clean) or a `MISSING` (a pinned sub-threshold seed that no longer
-/// splits the Fig. 3 decision). Free-mode Fig. 3 disagreement is
+/// JSONL lines of the lockstep cells (pure functions of their seeds: the
+/// committed `BENCH_native.json`), those of the free cells (decided by the
+/// host scheduler: sidecar only), and the gate flag: `false` — and so a
+/// nonzero exit — on a `BUG` (violation on a backend that must be clean)
+/// or a `MISSING` (a pinned sub-threshold seed that no longer splits the
+/// Fig. 3 decision), in either pacing. Free-mode Fig. 3 disagreement is
 /// *reported*, never gated: no commodity scheduler promises Axiom 2.
-fn native_grid(smoke: bool) -> (Vec<Json>, bool) {
+fn native_grid() -> (Vec<Json>, Vec<Json>, bool) {
     use lowerbound::native as ng;
-    let cells = ng::run_grid(smoke);
-    println!(
-        "── Native backend: {} OS-thread cells, oracle-checked ({}) ──",
-        cells.len(),
-        if smoke { "smoke" } else { "full" }
-    );
+    let cells = ng::run_grid();
+    println!("── Native backend: {} OS-thread cells, oracle-checked ──", cells.len());
     println!(
         "    family             pacing     n   q  seed    ops    steps  retries  checked       viol  verdict"
     );
@@ -564,7 +578,9 @@ fn native_grid(smoke: bool) -> (Vec<Json>, bool) {
         println!("  NATIVE GATE FAILED: a gated cell diverged from the paper's prediction");
     }
     println!();
-    (ng::report_lines(&cells), ok)
+    let (lockstep, free): (Vec<_>, Vec<_>) =
+        cells.into_iter().partition(|c| c.pacing == "lockstep");
+    (ng::report_lines(&lockstep), ng::report_lines(&free), ok)
 }
 
 /// `--crash`: the crash-and-restart grid (see `lowerbound::crash`).
@@ -1117,13 +1133,8 @@ fn indent(s: &str, pad: &str) -> String {
     s.lines().map(|l| format!("{pad}{l}")).collect::<Vec<_>>().join("\n")
 }
 
-/// Throughput sweep: simulated statements per second on the three hot
-/// workloads — the Fig. 3 exhaustive exploration (Lemma 1), the Fig. 10
-/// valency probe, and the Table 1 (P, C) × Q grid. `smoke` shrinks every
-/// workload for CI; rates stay comparable because the per-statement work is
-/// identical.
 /// Runs the exhaustive-exploration grid (`lowerbound::explore_grid`) and
-/// prints the scaling summary: per-mode throughput plus each workload's
+/// prints the scaling summary: per-mode wall time plus each workload's
 /// visited-state reduction factor (unreduced ÷ reduced). Returns the
 /// artifact rows and whether verification held — every *reduced* row must
 /// be verified (their budgets are sized to complete), and no row may
@@ -1150,12 +1161,12 @@ fn explore_grid_report(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
             .to_string();
         let verified = row.get("verified") == Some(&Json::Bool(true));
         let truncation = s("truncation");
-        let rate = row.get("steps_per_sec").and_then(Json::as_f64).unwrap_or(0.0);
+        let wall = row.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
         println!(
-            "    {workload:>14} {kind:<19} {:>12} steps {:>10} visited  {:>11.0} steps/s  [{}]",
+            "    {workload:>14} {kind:<19} {:>12} steps {:>10} visited  {:>9.1} ms  [{}]",
             n("steps"),
             n("visited"),
-            rate,
+            wall,
             if verified { "verified" } else { &truncation }
         );
         let reduced_row = kind.starts_with("explore_reduced");
@@ -1210,230 +1221,6 @@ fn explore_grid_report(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
     (rows, ok)
 }
 
-fn perf(smoke: bool, jobs: usize) -> Vec<Json> {
-    println!(
-        "── Throughput: simulated statements per second ({} workloads) ──",
-        if smoke { "smoke" } else { "full" }
-    );
-    let mk = |q: u32, inputs: &[(u64, u32)]| {
-        let mut s = Scenario::new(
-            UniConsensusMem::default(),
-            SystemSpec::hybrid(q).with_adversarial_alignment(),
-        );
-        for &(v, pr) in inputs {
-            s.add_process(ProcessorId(0), Priority(pr), Box::new(decide_machine(v)));
-        }
-        s.into_kernel()
-    };
-    let mut lines = Vec::new();
-
-    // 1. Exhaustive schedule exploration (the Lemma 1 model-checking path).
-    //    Each workload runs through the serial path (`perf_explore`) and
-    //    the frontier-sharded parallel path (`perf_explore_par`), as an
-    //    A/B over the same schedule trees. Distinct kinds keep each mode's
-    //    steps under its own wall time, so neither rate double-counts.
-    let explore_reps = if smoke { 20u64 } else { 400 };
-    let par_jobs = jobs.max(2);
-    for (name, q, inputs) in [
-        ("fig3_q8_2p", MIN_QUANTUM, vec![(1u64, 1u32), (2, 1)]),
-        ("fig3_q8_3p", MIN_QUANTUM, vec![(1, 1), (2, 1), (3, 2)]),
-        ("fig3_q1_2p", 1, vec![(1, 1), (2, 1)]),
-    ] {
-        let k = mk(q, &inputs);
-        for (kind, mode_jobs) in [("perf_explore", 1usize), ("perf_explore_par", par_jobs)] {
-            let mut steps = 0u64;
-            let mut terminals = 0u64;
-            let mut deduped = 0u64;
-            let t0 = Instant::now();
-            for _ in 0..explore_reps {
-                let stats =
-                    explore_parallel(&k, ExploreBounds::default(), mode_jobs, |_| Verdict::KeepGoing);
-                steps += stats.steps;
-                terminals = stats.terminals;
-                deduped = stats.deduped;
-            }
-            let wall = t0.elapsed();
-            println!(
-                "    explore {name} (jobs {mode_jobs}): {steps} statements in {:.1} ms → {:.0} steps/s",
-                wall.as_secs_f64() * 1e3,
-                rate(steps, wall)
-            );
-            lines.push(Json::obj([
-                ("kind", Json::from(kind)),
-                ("cell", Json::obj([
-                    ("workload", Json::from(name)),
-                    ("reps", Json::from(explore_reps)),
-                    ("jobs", Json::from(mode_jobs as u64)),
-                ])),
-                ("steps", Json::from(steps)),
-                ("wall_ms", Json::from(wall_ms(wall))),
-                ("steps_per_sec", Json::from(rate(steps, wall))),
-                ("terminals", Json::from(terminals)),
-                ("deduped", Json::from(deduped)),
-            ]));
-        }
-    }
-
-    // 2. The Fig. 10 valency probe (bivalent chain search).
-    let valency_reps = if smoke { 1u64 } else { 10 };
-    for q in [1u32, 2, 4, 8] {
-        let k = mk(q, &[(1, 1), (2, 1)]);
-        let mut steps = 0u64;
-        let mut depth = 0u32;
-        let t0 = Instant::now();
-        for _ in 0..valency_reps {
-            let p = bivalent_chain_probe(&k, 16, ExploreBounds::default());
-            steps += p.steps;
-            depth = p.depth;
-        }
-        let wall = t0.elapsed();
-        println!(
-            "    valency Q={q}: {steps} statements in {:.1} ms → {:.0} steps/s (depth {depth})",
-            wall.as_secs_f64() * 1e3,
-            rate(steps, wall)
-        );
-        lines.push(Json::obj([
-            ("kind", Json::from("perf_valency")),
-            ("cell", Json::obj([("q", Json::from(q)), ("reps", Json::from(valency_reps))])),
-            ("steps", Json::from(steps)),
-            ("wall_ms", Json::from(wall_ms(wall))),
-            ("steps_per_sec", Json::from(rate(steps, wall))),
-            ("depth", Json::from(depth)),
-        ]));
-    }
-
-    // 3. The Table 1 grid: each (P, C) cell probes its Q axis serially, so
-    //    the full mode times the same 99-probe grid `--table1` runs.
-    let (pcs, qs): (Vec<(u32, u32)>, Vec<u32>) = if smoke {
-        (vec![(1, 1), (2, 3)], vec![1, 8])
-    } else {
-        let mut pcs = Vec::new();
-        for p in 1..=3u32 {
-            for c in p..=2 * p {
-                pcs.push((p, c));
-            }
-        }
-        (pcs, TABLE1_QS.to_vec())
-    };
-    for &(p, c) in &pcs {
-        let mut steps = 0u64;
-        let t0 = Instant::now();
-        for &q in &qs {
-            steps += probe_cell(p, c, q).steps;
-        }
-        let wall = t0.elapsed();
-        println!(
-            "    table1 P={p} C={c}: {steps} statements in {:.1} ms → {:.0} steps/s",
-            wall.as_secs_f64() * 1e3,
-            rate(steps, wall)
-        );
-        lines.push(Json::obj([
-            ("kind", Json::from("perf_table1")),
-            ("cell", Json::obj([
-                ("p", Json::from(p)),
-                ("c", Json::from(c)),
-                ("probes", Json::from(qs.len() as u64)),
-            ])),
-            ("steps", Json::from(steps)),
-            ("wall_ms", Json::from(wall_ms(wall))),
-            ("steps_per_sec", Json::from(rate(steps, wall))),
-        ]));
-    }
-    println!();
-    lines
-}
-
-/// Steps per second, rounded to a whole step.
-fn rate(steps: u64, wall: Duration) -> f64 {
-    let s = wall.as_secs_f64();
-    if s > 0.0 { (steps as f64 / s).round() } else { 0.0 }
-}
-
-/// Aggregates per-kind throughput (sum of steps over sum of wall time) from
-/// a slice of perf cells, preserving first-seen kind order.
-fn kind_rates(cells: &[Json]) -> Vec<(String, f64)> {
-    let mut kinds: Vec<(String, u64, f64)> = Vec::new();
-    for v in cells {
-        let kind = match v.get("kind") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => continue,
-        };
-        let steps = match v.get("steps") {
-            Some(Json::Int(n)) => *n,
-            Some(Json::Float(f)) => *f as u64,
-            _ => continue,
-        };
-        let wall = match v.get("wall_ms") {
-            Some(Json::Int(n)) => *n as f64,
-            Some(Json::Float(f)) => *f,
-            // Canonical artifacts carry no wall_ms (it lives in the timing
-            // sidecar); reconstruct the wall contribution from the cell's
-            // own pinned rate so committed baselines stay comparable.
-            _ => match v.get("steps_per_sec").and_then(Json::as_f64) {
-                Some(r) if r > 0.0 => steps as f64 / r * 1e3,
-                _ => continue,
-            },
-        };
-        match kinds.iter_mut().find(|(k, _, _)| *k == kind) {
-            Some(e) => {
-                e.1 += steps;
-                e.2 += wall;
-            }
-            None => kinds.push((kind, steps, wall)),
-        }
-    }
-    kinds
-        .into_iter()
-        .map(|(k, s, w)| (k, if w > 0.0 { s as f64 / (w / 1e3) } else { 0.0 }))
-        .collect()
-}
-
-/// Compares fresh perf cells against a committed `BENCH_perf.json`,
-/// per kind; returns `false` (→ nonzero exit) if any kind's aggregate
-/// steps/sec fell below 70% of the baseline.
-fn perf_gate(fresh: &[Json], base_path: &str) -> bool {
-    let text = match std::fs::read_to_string(base_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("  perf baseline {base_path}: {e}");
-            return false;
-        }
-    };
-    let base_cells: Vec<Json> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| Json::parse(l).ok())
-        .collect();
-    let base = kind_rates(&base_cells);
-    let now = kind_rates(fresh);
-    let mut ok = true;
-    println!("  perf gate vs {base_path} (fail under 0.70× baseline):");
-    for (kind, b) in &base {
-        let Some((_, n)) = now.iter().find(|(k, _)| k == kind) else {
-            eprintln!("    {kind}: missing from fresh run");
-            ok = false;
-            continue;
-        };
-        if *b <= 0.0 || *n <= 0.0 {
-            // A sub-µs wall time rounds to zero and would read as a total
-            // regression (rate 0); too small to rate either way, so skip.
-            println!(
-                "    {kind}: wall time too small to rate (fresh {n:.0}, baseline {b:.0} steps/s) — skipped"
-            );
-            continue;
-        }
-        let ratio = n / b;
-        let verdict = if ratio >= 0.70 { "ok" } else { "REGRESSED" };
-        println!("    {kind}: {n:.0} vs baseline {b:.0} steps/s ({ratio:.2}×) {verdict}");
-        if ratio < 0.70 {
-            ok = false;
-        }
-    }
-    println!();
-    ok
-}
-
 fn poly_vs_exp() {
     println!("── Polynomial (Fig. 7) vs exponential (priority-only baseline) ──");
     println!("    N  |  Fig. 7 steps  objects |  baseline steps  objects");
@@ -1466,4 +1253,26 @@ fn poly_vs_exp() {
         println!("   {n:>2}  |  {s7:>12}  {o7:>7} |  {steps_e:>14}  {oe:>7}");
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RunArgs;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_experiment_flags_are_rejected() {
+        // A deleted experiment and a typo both fail instead of running
+        // nothing; option values and known selectors pass through.
+        for bad in ["--perf", "--perff"] {
+            let a = args(&["--thm1", bad, "--jobs", "2"]);
+            assert_eq!(RunArgs::mode_flags(&a), Err(&bad.to_string()));
+        }
+        let a = args(&["--thm1", "--jobs", "2", "--smoke", "--fuzz-dir", "out", "--native"]);
+        assert_eq!(RunArgs::mode_flags(&a).unwrap(), ["--thm1", "--native"]);
+        assert_eq!(RunArgs::mode_flags(&[]).unwrap(), Vec::<&String>::new());
+    }
 }

@@ -29,7 +29,7 @@ pub fn reachable_decisions<M: Clone + Hash>(k: &Kernel<M>, bounds: ExploreBounds
 }
 
 /// [`reachable_decisions`] plus an accumulator for the statements the
-/// exploration executed, so probes can report throughput.
+/// exploration executed, so probes can report their work.
 fn decisions_counting<M: Clone + Hash>(
     k: &Kernel<M>,
     bounds: ExploreBounds,
@@ -108,7 +108,7 @@ pub struct ChainProbe {
     /// Bivalent chain depth actually reached (see [`bivalent_chain_depth`]).
     pub depth: u32,
     /// Statements executed across every valence exploration and successor
-    /// probe — the work metric behind the Fig. 10 throughput numbers.
+    /// probe — the probe's work metric.
     pub steps: u64,
 }
 

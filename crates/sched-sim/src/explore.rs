@@ -544,11 +544,13 @@ impl<M, F> SharedExplore<M, F> {
 /// hence all counters, independent of visit order. A truncated run is
 /// order-dependent by nature (which states fall inside a bound depends on
 /// who got there first), though a step-bounded one still executes exactly
-/// [`ExploreBounds::max_total_steps`] statements; `on_terminal` observes
-/// terminals in a nondeterministic order either way, so order-sensitive
-/// visitors must collect and sort. Under
-/// symmetry reduction the *representative* of each orbit passed to the
-/// visitor may differ between runs (stats still match); compare
+/// [`ExploreBounds::max_total_steps`] statements. So parallel == serial is
+/// claimed for untruncated runs only, and the committed exploration grid
+/// (`lowerbound::explore_grid`) skips the parallel twin of a truncated
+/// serial run. `on_terminal` observes terminals in a nondeterministic
+/// order either way, so order-sensitive visitors must collect and sort.
+/// Under symmetry reduction the *representative* of each orbit passed to
+/// the visitor may differ between runs (stats still match); compare
 /// permutation-invariant summaries.
 ///
 /// `jobs <= 1` runs the serial explorer inline — same code path, zero

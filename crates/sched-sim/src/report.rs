@@ -539,7 +539,6 @@ pub const EXPLORE_SCHEMA: &[(&str, Kind)] = &[
     ("visited", Kind::Num),
     ("truncation", Kind::Str),
     ("verified", Kind::Bool),
-    ("steps_per_sec", Kind::Num),
 ];
 
 /// Picks the validation schema for an artifact by its **final path

@@ -214,9 +214,11 @@ fn same_workload_same_oracle_on_both_backends() {
     assert_eq!(last + last_addend, total);
 }
 
-/// The committed `BENCH_native.json` artifact validates against its schema
-/// and carries no gated failure: every cell's verdict matches the paper's
-/// prediction for its backend and pacing.
+/// The committed `BENCH_native.json` artifact validates against its schema,
+/// holds only lockstep rows (pure functions of their seeds; free-mode rows
+/// live in the gitignored sidecar) and carries no gated failure: every
+/// cell's verdict matches the paper's prediction for its backend and
+/// pacing.
 #[test]
 fn committed_native_artifact_is_schema_valid_and_gate_clean() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_native.json");
@@ -226,6 +228,11 @@ fn committed_native_artifact_is_schema_valid_and_gate_clean() {
     let mut predicted = 0u32;
     for line in text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
         let v = Json::parse(line).expect("artifact line parses");
+        assert_eq!(
+            v.get("cell").and_then(|c| c.get("pacing")).and_then(Json::as_str),
+            Some("lockstep"),
+            "committed artifact carries a free-mode row: {line}"
+        );
         match v.get("verdict") {
             Some(Json::Str(s)) => {
                 assert!(
