@@ -1,75 +1,59 @@
 //! Experiment harness: regenerates every table and figure of Anderson &
 //! Moir (PODC 1999) from the implementations in this workspace.
 //!
-//! Run `cargo run -p experiments --release` for the full report, or pass a
-//! subset of flags:
+//! Every experiment is one entry of the [`EXPERIMENTS`] table, which runs
+//! in this order:
 //!
-//! * `--table1`    — Table 1: universality thresholds across (P, C)
+//! * `--lemma1`    — Lemma 1: exhaustive schedule enumeration for Fig. 3
 //! * `--thm1`      — Theorem 1: Fig. 3 constant time + Q ≥ 8 tightness
 //! * `--thm2`      — Theorem 2: Fig. 5 O(V) time
-//! * `--thm3`      — Theorem 3: Fig. 6 impossibility witnesses
+//! * `--fig8`      — Fig. 8: the level/port layout
 //! * `--thm4`      — Theorem 4: Fig. 7 polynomial time/space
 //! * `--failures`  — Lemmas 2/3: access-failure pressure vs Q
-//! * `--lemma1`    — Lemma 1: exhaustive schedule enumeration for Fig. 3
+//! * `--thm3`      — Theorem 3: Fig. 6 impossibility witnesses
 //! * `--valency`   — Fig. 10: bivalent chain depths
-//! * `--fig8`      — Fig. 8: the level/port layout
+//! * `--table1`    — Table 1: universality thresholds across (P, C)
 //! * `--poly-vs-exp` — polynomial Fig. 7 vs exponential baseline
 //! * `--obs`       — observability: per-run counters + capture/replay demo
-//! * `--fuzz`      — adversarial schedule fuzz over every algorithm family
-//!                   → `BENCH_fuzz.json` (never part of the default `--all`
-//!                   run; must be requested explicitly)
-//! * `--profile`   — schedule profiler sweep over the central families
-//!                   → `BENCH_profile.json` + `profile_<family>.perfetto.json`
-//!                   timelines (like `--fuzz`, explicit-only)
-//! * `--native`    — the native-backend grid: the backend-generic
-//!                   algorithms on real OS threads, cross-validated by the
-//!                   simulator oracles → `BENCH_native.json` (lockstep rows;
-//!                   free-mode rows go whole to the timing sidecar;
-//!                   explicit-only)
-//! * `--crash`     — the crash-and-restart grid: crash/recover lifecycle
-//!                   plans over Fig. 3 / universal / Fig. 7 under noisy
-//!                   schedules, scored by recovery-safe oracles, plus a
-//!                   churn-surviving service cell → `BENCH_crash.json`
-//!                   (explicit-only; `--smoke` shrinks it for the
-//!                   `check.sh` gate)
-//! * `--service`   — the request-serving workload engine: long-lived
-//!                   sharded universal-object services under thousands of
-//!                   multiplexed clients → `BENCH_service.json` with
-//!                   per-shard throughput and request-latency percentiles
-//!                   (explicit-only; `--smoke` shrinks it)
-//! * `--explore`   — exhaustive Lemma 1 verification in every explorer
-//!                   mode → `BENCH_explore.json` (explicit-only; `--smoke`
-//!                   runs a prefix of the full grid)
+//! * `--fuzz`      — adversarial schedule fuzz over every algorithm family;
+//!   shrunk counterexamples go to `tests/golden/fuzz/`
+//! * `--profile`   — schedule profiler sweep over the central families, plus
+//!   one `profile_<family>.perfetto.json` timeline each
+//! * `--native`    — the backend-generic algorithms on real OS threads,
+//!   cross-validated by the simulator oracles
+//! * `--service`   — long-lived sharded universal-object services under
+//!   thousands of multiplexed clients
+//! * `--crash`     — crash/recover lifecycle plans under noisy schedules,
+//!   scored by recovery-safe oracles, plus a churn cell
+//! * `--explore`   — exhaustive Lemma 1 verification in every explorer mode
 //!
-//! Any other `--` flag that is not a run option is rejected: the harness
-//! prints the known experiments and exits 2.
+//! No selector, or `--all`, runs every entry; flags select a subset, which
+//! still runs in table order. Any other `--` flag that is not `--jobs` is
+//! rejected: the harness prints the known experiments and exits 2.
 //!
-//! `--profile` runs Fig. 3 / Fig. 5 / universal / Fig. 7 at their legal
-//! quanta under storm and random deciders with a streaming profiler
-//! attached (`sched_sim::prof`), reporting quantum-window utilization,
-//! preemption counts, dispatch latency, and per-invocation step/retry
-//! histograms, merged per family. `--profile-trace FILE` instead profiles
-//! a committed `.trace` artifact offline and writes its Perfetto timeline
-//! next to the current directory.
+//! Each entry names the artifact its rows go to (`thm1`, `thm4` and
+//! `failures` share `BENCH_sweeps.json`), plus the keys those rows carry
+//! beyond `report::CELL_SCHEMA`; the six grids (`--fuzz` to `--explore`)
+//! also name their gate, which lives next to their row builder in
+//! `lowerbound`. Grid rows are printed by one generic renderer. After every
+//! selected entry has run, each artifact is written once and the process
+//! exits 1 if any gate failed. Canonical artifacts carry only
+//! deterministic payloads; wall times go to a gitignored `*.timing.json`
+//! sidecar, so regeneration never dirties a committed artifact.
 //!
-//! `--fuzz` drives hostile deciders (`sched_sim::fuzz`) against every
-//! family at legal and sub-threshold quanta, checking each family's safety
-//! oracle (`lowerbound::fuzz`). Violations are delta-debugged to minimal
-//! replayable counterexample artifacts under `--fuzz-dir DIR` (default
-//! `tests/golden/fuzz`); `--smoke` shrinks the seed count for CI. Exits
-//! nonzero on a violation at legal Q (a bug) or a missing violation where
-//! the paper predicts impossibility.
+//! Sweep-shaped experiments run over the `sched_sim::sweep` worker pool;
+//! `--jobs N` sets the worker count (default: available parallelism).
+//! Results are **bit-identical for every jobs value** — only wall time
+//! changes — except that the explore rows record their worker count: the
+//! committed `BENCH_explore.json` is the `--jobs 4` run.
 //!
-//! Sweep-shaped experiments (`--table1 --thm1 --thm4 --failures --fuzz`)
-//! run over the `sched_sim::sweep` worker pool; `--jobs N` sets the worker
-//! count (default: available parallelism). Results are **bit-identical for
-//! every jobs value** — only wall time changes. They also emit
-//! line-oriented JSON artifacts: `BENCH_table1.json` (the Table 1 grid)
-//! and `BENCH_sweeps.json` (the other sweeps). Canonical artifacts carry
-//! only deterministic payloads; wall times go to a `*.timing.json` sidecar
-//! so regeneration never dirties a committed artifact. `--validate FILE`
-//! checks either kind of artifact against its schema and exits.
+//! `--validate FILE` checks an artifact (or its `.timing.json` sidecar)
+//! against the keys its table entry names and exits; a file name that
+//! names no table artifact exits 2. `--profile-trace FILE` profiles a
+//! committed `.trace` artifact offline and writes its Perfetto timeline
+//! into the current directory.
 
+use std::path::Path;
 use std::time::Duration;
 
 use hybrid_wf::multi::consensus::LocalMode;
@@ -79,77 +63,132 @@ use hybrid_wf::uni::cas::{op_machine as cas_machine, CasMem, CasOp};
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use hybrid_wf::universal::{op_machine as universal_machine, CounterSpec, UniversalMem};
 use lowerbound::adversary::{adversary_for_seed, fig7_scenario};
-use lowerbound::fig6;
-use lowerbound::fuzz::{case_specs, fuzz_cell, shrink_and_capture, CaseSpec, Expect, DECIDERS};
-use lowerbound::profile::{
-    family_timeline, n_seeds, profile_trace_text, report_lines, run_grid, FAMILIES,
-    PROFILE_DECIDERS,
-};
 use lowerbound::valency::bivalent_chain_depth;
+use lowerbound::{crash, explore_grid, fig6, fuzz, native, profile, service};
 use sched_sim::decision::RoundRobin;
 use sched_sim::explore::{check_all_schedules, explore, ExploreBounds, Verdict};
 use sched_sim::ids::{ProcessId, ProcessorId, Priority};
 use sched_sim::kernel::SystemSpec;
 use sched_sim::report::{
-    schema_for_path, split_timing, validate_cells, Json, TIMING_SCHEMA,
+    split_timing, validate_cells, wall_ms, Json, Kind, CELL_SCHEMA, TIMING_SCHEMA,
 };
 use sched_sim::scenario::{RunResult, Scenario};
 use sched_sim::sweep::{cross, default_jobs, run_cells};
 
-/// The shared run options every subcommand draws from: one parse, one
-/// source of truth for which `--flags` are option-carrying (and so must
-/// not be mistaken for experiment selectors).
-struct RunArgs {
-    /// Sweep worker count (`--jobs N`; default: available parallelism).
-    jobs: usize,
-    /// CI-scale workloads (`--smoke`).
-    smoke: bool,
-    /// Directory for shrunk fuzz counterexamples (`--fuzz-dir DIR`).
-    fuzz_dir: String,
+/// Required keys of an artifact row.
+type Keys = &'static [(&'static str, Kind)];
+
+/// What one experiment adds to its artifact: the canonical rows, and rows
+/// that go whole into the timing sidecar (payloads the host scheduler
+/// decides, which can never be part of the committed artifact).
+type Rows = (Vec<Json>, Vec<Json>);
+
+/// The artifact an experiment adds rows to.
+#[derive(Clone, Copy)]
+struct Artifact {
+    /// File name, written into the current directory.
+    name: &'static str,
+    /// The keys every row carries beyond `CELL_SCHEMA`.
+    keys: Keys,
+    /// The grid's gate, judging all rows and (to mark failures) each row on
+    /// its own. Gated grids are printed by [`print_grid`]; the sweeps
+    /// (`None`) print their own tables.
+    gate: Option<fn(&[Json]) -> bool>,
 }
 
+/// One experiment: its selector flag, its run function (given `--jobs`),
+/// and the artifact its rows go to (`None` for narrative sections).
+struct Experiment {
+    flag: &'static str,
+    run: fn(usize) -> Rows,
+    artifact: Option<Artifact>,
+}
+
+const SWEEPS: Artifact = Artifact { name: "BENCH_sweeps.json", keys: &[], gate: None };
+
+/// The artifact of a gated grid.
+const fn grid(name: &'static str, keys: Keys, gate: fn(&[Json]) -> bool) -> Option<Artifact> {
+    Some(Artifact { name, keys, gate: Some(gate) })
+}
+
+/// Every experiment, in run order.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment { flag: "--lemma1", run: |_| narrate(lemma1), artifact: None },
+    Experiment { flag: "--thm1", run: |jobs| (thm1(jobs), vec![]), artifact: Some(SWEEPS) },
+    Experiment { flag: "--thm2", run: |_| narrate(thm2), artifact: None },
+    Experiment { flag: "--fig8", run: |_| narrate(fig8), artifact: None },
+    Experiment { flag: "--thm4", run: |jobs| (thm4(jobs), vec![]), artifact: Some(SWEEPS) },
+    Experiment { flag: "--failures", run: |jobs| (failures(jobs), vec![]), artifact: Some(SWEEPS) },
+    Experiment { flag: "--thm3", run: |_| narrate(thm3), artifact: None },
+    Experiment { flag: "--valency", run: |_| narrate(valency), artifact: None },
+    Experiment {
+        flag: "--table1",
+        run: |jobs| (table1(jobs), vec![]),
+        artifact: Some(Artifact { name: "BENCH_table1.json", keys: &[], gate: None }),
+    },
+    Experiment { flag: "--poly-vs-exp", run: |_| narrate(poly_vs_exp), artifact: None },
+    Experiment { flag: "--obs", run: |_| narrate(obs), artifact: None },
+    Experiment {
+        flag: "--fuzz",
+        run: fuzz_grid,
+        artifact: grid("BENCH_fuzz.json", fuzz::KEYS, fuzz::grid_ok),
+    },
+    Experiment {
+        flag: "--profile",
+        run: profile_grid,
+        // Profiles are reported, never gated.
+        artifact: grid("BENCH_profile.json", profile::KEYS, |_| true),
+    },
+    Experiment {
+        flag: "--native",
+        run: native_grid,
+        artifact: grid("BENCH_native.json", native::KEYS, native::grid_ok),
+    },
+    Experiment {
+        flag: "--service",
+        run: |jobs| (service::run_grid(jobs, false), vec![]),
+        artifact: grid("BENCH_service.json", service::KEYS, service::grid_ok),
+    },
+    Experiment {
+        flag: "--crash",
+        run: |jobs| (crash::run_grid(jobs, false), vec![]),
+        artifact: grid("BENCH_crash.json", crash::KEYS, crash::grid_ok),
+    },
+    Experiment {
+        flag: "--explore",
+        run: |jobs| (explore_grid::run_grid(jobs, false), vec![]),
+        artifact: grid("BENCH_explore.json", explore_grid::KEYS, explore_grid::grid_ok),
+    },
+];
+
+/// Runs a narrative section, which prints its text and adds no rows.
+fn narrate(section: fn()) -> Rows {
+    section();
+    Rows::default()
+}
+
+/// The run options: one source of truth for which `--flags` carry options
+/// (and so must not be mistaken for experiment selectors).
+struct RunArgs;
+
 impl RunArgs {
-    /// Options (flags that consume the next argument, plus `--smoke`);
-    /// everything else starting with `--` selects an experiment.
-    const OPTS: [&'static str; 3] = ["--jobs", "--smoke", "--fuzz-dir"];
+    /// The flags that consume the next argument; every other `--` argument
+    /// selects an experiment.
+    const OPTS: [&'static str; 1] = ["--jobs"];
 
-    /// The experiment selectors `main` dispatches on.
-    const EXPERIMENTS: [&'static str; 18] = [
-        "--all",
-        "--lemma1",
-        "--thm1",
-        "--thm2",
-        "--fig8",
-        "--thm4",
-        "--failures",
-        "--thm3",
-        "--valency",
-        "--table1",
-        "--poly-vs-exp",
-        "--obs",
-        "--fuzz",
-        "--profile",
-        "--native",
-        "--service",
-        "--crash",
-        "--explore",
-    ];
+    /// The experiment selectors: `--all` plus every table flag.
+    fn experiments() -> impl Iterator<Item = &'static str> {
+        std::iter::once("--all").chain(EXPERIMENTS.iter().map(|e| e.flag))
+    }
 
-    fn parse(args: &[String]) -> Self {
-        let value_of = |flag: &str| {
-            args.iter().position(|a| a == flag).map(|i| {
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-            })
-        };
-        RunArgs {
-            jobs: value_of("--jobs")
-                .map(|n| n.parse::<usize>().expect("--jobs needs an integer"))
-                .unwrap_or_else(default_jobs),
-            smoke: args.iter().any(|a| a == "--smoke"),
-            fuzz_dir: value_of("--fuzz-dir").unwrap_or_else(|| "tests/golden/fuzz".to_string()),
+    /// Sweep worker count (`--jobs N`; default: available parallelism).
+    fn jobs(args: &[String]) -> usize {
+        match args.iter().position(|a| a == "--jobs") {
+            Some(i) => args.get(i + 1).and_then(|n| n.parse().ok()).unwrap_or_else(|| {
+                eprintln!("--jobs needs an integer");
+                std::process::exit(2);
+            }),
+            None => default_jobs(),
         }
     }
 
@@ -161,29 +200,56 @@ impl RunArgs {
             .iter()
             .filter(|a| a.starts_with("--") && !Self::OPTS.contains(&a.as_str()))
             .collect();
-        match flags.iter().find(|a| !Self::EXPERIMENTS.contains(&a.as_str())) {
+        match flags.iter().find(|a| !Self::experiments().any(|e| e == a.as_str())) {
             Some(unknown) => Err(unknown),
             None => Ok(flags),
         }
     }
 }
 
+/// The names of every table artifact, in table order.
+fn artifact_names() -> Vec<&'static str> {
+    let mut names = Vec::new();
+    for a in EXPERIMENTS.iter().filter_map(|e| e.artifact) {
+        if !names.contains(&a.name) {
+            names.push(a.name);
+        }
+    }
+    names
+}
+
+/// The required keys of the artifact at `path`, looked up in the table by
+/// the path's **final component** only (so a directory named like an
+/// artifact cannot misroute the choice): `X.json` for a table artifact
+/// `X.json` gets `CELL_SCHEMA` plus its entry's keys, and its sidecar
+/// `X.timing.json` gets `TIMING_SCHEMA`. Any other name is `None`.
+fn schema_for(path: &Path) -> Option<Vec<(&'static str, Kind)>> {
+    let name = path.file_name()?.to_str()?;
+    let artifact = |name: &str| {
+        EXPERIMENTS.iter().filter_map(|e| e.artifact).find(|a| a.name == name)
+    };
+    match name.strip_suffix(".timing.json") {
+        Some(stem) => artifact(&format!("{stem}.json")).map(|_| TIMING_SCHEMA.to_vec()),
+        None => artifact(name).map(|a| [CELL_SCHEMA, a.keys].concat()),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // Standalone artifact validation: `--validate FILE`. The schema is
-    // picked from the file's final path component only
-    // (`report::schema_for_path`), so absolute paths and odd parent
-    // directories cannot misroute the choice.
+    // Standalone artifact validation: `--validate FILE`.
     if let Some(i) = args.iter().position(|a| a == "--validate") {
         let path = args.get(i + 1).unwrap_or_else(|| {
             eprintln!("--validate needs a file path");
             std::process::exit(2);
         });
-        let schema = schema_for_path(std::path::Path::new(path));
+        let schema = schema_for(Path::new(path)).unwrap_or_else(|| {
+            eprintln!("{path}: unknown artifact; known: {}", artifact_names().join(" "));
+            std::process::exit(2);
+        });
         match std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
-            .and_then(|text| validate_cells(&text, schema))
+            .and_then(|text| validate_cells(&text, &schema))
         {
             Ok(cells) => {
                 println!("{path}: OK ({cells} cells)");
@@ -198,7 +264,7 @@ fn main() {
 
     // Standalone offline profiling: `--profile-trace FILE` loads any
     // serialized trace (e.g. a committed fuzz counterexample), prints its
-    // derived schedule metrics, and writes a Perfetto timeline next to the
+    // derived schedule metrics, and writes a Perfetto timeline into the
     // current directory.
     if let Some(i) = args.iter().position(|a| a == "--profile-trace") {
         let path = args.get(i + 1).unwrap_or_else(|| {
@@ -209,12 +275,9 @@ fn main() {
             eprintln!("{path}: {e}");
             std::process::exit(2);
         });
-        match profile_trace_text(&text) {
+        match profile::profile_trace_text(&text) {
             Ok((profile, perfetto)) => {
-                let stem = std::path::Path::new(path)
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("trace");
+                let stem = Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
                 let out = format!("{stem}.perfetto.json");
                 std::fs::write(&out, perfetto).expect("write perfetto export");
                 println!("{path}:");
@@ -229,117 +292,90 @@ fn main() {
         }
     }
 
-    let run = RunArgs::parse(&args);
+    let jobs = RunArgs::jobs(&args);
     let flags = RunArgs::mode_flags(&args).unwrap_or_else(|unknown| {
-        eprintln!("unknown experiment {unknown}; known: {}", RunArgs::EXPERIMENTS.join(" "));
+        let known: Vec<&str> = RunArgs::experiments().collect();
+        eprintln!("unknown experiment {unknown}; known: {}", known.join(" "));
         std::process::exit(2);
     });
     let all = flags.is_empty() || flags.iter().any(|a| *a == "--all");
-    let want = |flag: &str| all || flags.iter().any(|a| *a == flag);
 
     println!("hybrid-wf experiment harness — Anderson & Moir, PODC 1999");
     println!("===========================================================\n");
-    let mut sweeps: Vec<Json> = Vec::new();
-    if want("--lemma1") {
-        lemma1();
-    }
-    if want("--thm1") {
-        sweeps.extend(thm1(run.jobs));
-    }
-    if want("--thm2") {
-        thm2();
-    }
-    if want("--fig8") {
-        fig8();
-    }
-    if want("--thm4") {
-        sweeps.extend(thm4(run.jobs));
-    }
-    if want("--failures") {
-        sweeps.extend(failures(run.jobs));
-    }
-    if want("--thm3") {
-        thm3();
-    }
-    if want("--valency") {
-        valency();
-    }
-    if want("--table1") {
-        let cells = table1(run.jobs);
-        write_artifact("BENCH_table1.json", &cells, &[]);
-    }
-    if want("--poly-vs-exp") {
-        poly_vs_exp();
-    }
-    if want("--obs") {
-        obs();
-    }
-    let want_fuzz = flags.iter().any(|a| *a == "--fuzz");
-    let mut fuzz_ok = true;
-    if want_fuzz {
-        let (cells, ok) = fuzz(run.jobs, run.smoke, &run.fuzz_dir);
-        write_artifact("BENCH_fuzz.json", &cells, &[]);
-        fuzz_ok = ok;
-    }
-    // Like --fuzz, the profiler sweep is explicit-only: it re-runs four
-    // full families and writes timeline artifacts, which the default
-    // `--all` report does not need.
-    if flags.iter().any(|a| *a == "--profile") {
-        let lines = profile_sweep(run.jobs, run.smoke);
-        write_artifact("BENCH_profile.json", &lines, &[]);
-    }
-    // The native grid spawns real OS threads per cell, so it is also
-    // explicit-only (and ignores `--jobs`: nesting thread-per-process
-    // cells under a worker pool would oversubscribe the machine).
-    let mut native_ok = true;
-    if flags.iter().any(|a| *a == "--native") {
-        let (lockstep, free, ok) = native_grid();
-        write_artifact("BENCH_native.json", &lockstep, &free);
-        native_ok = ok;
-    }
-    // The request-serving workload engine: long-lived universal-object
-    // service runs. Explicit-only like --profile (it streams millions of
-    // invocations at full scale).
-    let mut service_ok = true;
-    if flags.iter().any(|a| *a == "--service") {
-        let (lines, ok) = service(run.jobs, run.smoke);
-        write_artifact("BENCH_service.json", &lines, &[]);
-        service_ok = ok;
-    }
-    // The crash-and-restart grid: explicit-only like --fuzz (it exists for
-    // its artifact and its gate, not for the default report).
-    let mut crash_ok = true;
-    if flags.iter().any(|a| *a == "--crash") {
-        let (lines, ok) = crash_grid(run.jobs, run.smoke);
-        write_artifact("BENCH_crash.json", &lines, &[]);
-        crash_ok = ok;
-    }
-    // Exhaustive exploration at scale: the parallel/reduced explorer grid.
-    // Explicit-only (the full grid model-checks multi-million-state trees).
-    if flags.iter().any(|a| *a == "--explore") {
-        let (cells, ok) = explore_grid_report(run.jobs, run.smoke);
-        write_artifact("BENCH_explore.json", &cells, &[]);
-        if !ok {
-            std::process::exit(1);
+    let mut artifacts: Vec<(Artifact, Rows)> = Vec::new();
+    let mut ok = true;
+    for e in EXPERIMENTS.iter().filter(|e| all || flags.iter().any(|f| *f == e.flag)) {
+        if let Some(Artifact { name, gate: Some(_), .. }) = e.artifact {
+            println!("── {} grid → {name} ({jobs} jobs) ──", &e.flag[2..]);
+        }
+        let (rows, sidecar) = (e.run)(jobs);
+        let Some(artifact) = e.artifact else { continue };
+        if let Some(gate) = artifact.gate {
+            ok &= print_grid(&[rows.as_slice(), &sidecar].concat(), artifact.keys, gate);
+        }
+        match artifacts.iter_mut().find(|(a, _)| a.name == artifact.name) {
+            Some((_, acc)) => {
+                acc.0.extend(rows);
+                acc.1.extend(sidecar);
+            }
+            None => artifacts.push((artifact, (rows, sidecar))),
         }
     }
-    if !sweeps.is_empty() {
-        write_artifact("BENCH_sweeps.json", &sweeps, &[]);
+    for (artifact, (rows, sidecar)) in &artifacts {
+        write_artifact(artifact, rows, sidecar);
     }
-    if !fuzz_ok || !native_ok || !service_ok || !crash_ok {
+    if !ok {
         std::process::exit(1);
     }
 }
 
-/// Writes a line-oriented JSON artifact (one cell per line), self-checking
-/// it against the standard cell schema first.
+/// The one grid renderer: prints each row's `kind`, its `cell` values,
+/// `steps` and its scalar `keys`, and `^^ FAILED: <row>` under every row
+/// the gate rejects on its own. Returns whether the gate passes the whole
+/// grid (which may also compare rows with each other).
+fn print_grid(rows: &[Json], keys: Keys, gate: fn(&[Json]) -> bool) -> bool {
+    let scalar = |v: &Json| match v {
+        Json::Str(s) => Some(s.clone()),
+        Json::Obj(_) | Json::Arr(_) => None,
+        v => Some(v.to_string()),
+    };
+    for row in rows {
+        let cell: Vec<String> = match row.get("cell") {
+            Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| scalar(v)).collect(),
+            _ => Vec::new(),
+        };
+        let mut line = format!(
+            "    {:<20} {:<36}",
+            row.get("kind").and_then(Json::as_str).unwrap_or("?"),
+            cell.join(" ")
+        );
+        for key in std::iter::once("steps").chain(keys.iter().map(|&(k, _)| k)) {
+            if let Some(v) = row.get(key).and_then(scalar) {
+                line += &format!("  {key}={v}");
+            }
+        }
+        println!("{line}");
+        if !gate(std::slice::from_ref(row)) {
+            eprintln!("    ^^ FAILED: {row}");
+        }
+    }
+    let ok = gate(rows);
+    if !ok {
+        println!("  GATE FAILED");
+    }
+    println!();
+    ok
+}
+
+/// Writes a line-oriented JSON artifact (one row per line), self-checking
+/// it against its schema first.
 ///
-/// Wall times are split out of every cell (`report::split_timing`) into a
+/// Wall times are split out of every row (`report::split_timing`) into a
 /// `<stem>.timing.json` sidecar, so the canonical artifact is bit-identical
 /// across regenerations and machines; the sidecar is gitignored.
-/// `sidecar_rows` go whole into the sidecar: cells whose payload the host
-/// scheduler decides, so they can never be part of the committed artifact.
-fn write_artifact(path: &str, lines: &[Json], sidecar_rows: &[Json]) {
+/// `sidecar_rows` go whole into the sidecar.
+fn write_artifact(artifact: &Artifact, lines: &[Json], sidecar_rows: &[Json]) {
+    let path = artifact.name;
     let mut out =
         String::from("# hybrid-wf sweep artifact: one JSON cell per line (see sched_sim::report)\n");
     let mut timing = String::from(
@@ -360,13 +396,10 @@ fn write_artifact(path: &str, lines: &[Json], sidecar_rows: &[Json]) {
         timing.push_str(&row.to_string());
         timing.push('\n');
     }
-    let schema = schema_for_path(std::path::Path::new(path));
-    let cells = validate_cells(&out, schema).expect("artifact failed self-validation");
+    let schema = [CELL_SCHEMA, artifact.keys].concat();
+    let cells = validate_cells(&out, &schema).expect("artifact failed self-validation");
     std::fs::write(path, out).expect("write artifact");
-    let sidecar = match path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.timing.json"),
-        None => format!("{path}.timing.json"),
-    };
+    let sidecar = path.replace(".json", ".timing.json");
     validate_cells(&timing, TIMING_SCHEMA).expect("timing sidecar failed self-validation");
     std::fs::write(&sidecar, timing).expect("write timing sidecar");
     let whole = match sidecar_rows.len() {
@@ -376,334 +409,37 @@ fn write_artifact(path: &str, lines: &[Json], sidecar_rows: &[Json]) {
     println!("  [artifact] wrote {path} ({cells} cells; {timed} wall times{whole} → {sidecar})\n");
 }
 
-fn wall_ms(d: Duration) -> f64 {
-    // Round to 1 µs so artifacts stay compact; wall time is metadata and
-    // never part of a determinism comparison.
-    (d.as_secs_f64() * 1e3 * 1e3).round() / 1e3
+/// `--fuzz` (see `lowerbound::fuzz::run_grid`): shrunk counterexample
+/// traces land in `tests/golden/fuzz/` under the current directory.
+fn fuzz_grid(jobs: usize) -> Rows {
+    let (rows, traces) = fuzz::run_grid(jobs, Path::new("tests/golden/fuzz"));
+    for path in traces {
+        println!("  [trace] wrote {}", path.display());
+    }
+    (rows, vec![])
 }
 
-/// `--fuzz`: adversarial schedule fuzz with shrinking counterexamples.
-///
-/// Runs every `(family, Q)` spec from [`lowerbound::fuzz::case_specs`]
-/// under every hostile decider, checking the family's safety oracle on
-/// each seeded run, and compares the per-spec outcome against the paper's
-/// prediction: a violation at legal `Q` is a bug, and a quiet run where
-/// Theorem 3 predicts impossibility means the adversaries lost their
-/// teeth — both flip the returned flag to `false` (→ nonzero exit). The
-/// first violation of each violating spec is delta-debugged to a minimal
-/// script and written as a replayable artifact under `fuzz_dir`.
-fn fuzz(jobs: usize, smoke: bool, fuzz_dir: &str) -> (Vec<Json>, bool) {
-    // 8 seeds are enough for every Expect::Violation spec to fire (the
-    // deepest known witness sits at seed 5); the full run triples that.
-    let seeds: u64 = if smoke { 8 } else { 24 };
-    let specs = case_specs();
-    println!(
-        "── Adversarial schedule fuzz: {} specs × {} deciders × {seeds} seeds ({jobs} jobs) ──",
-        specs.len(),
-        DECIDERS.len()
-    );
-    let cells: Vec<(CaseSpec, &'static str)> =
-        specs.iter().flat_map(|s| DECIDERS.iter().map(|d| (*s, *d))).collect();
-    let reports = run_cells(&cells, jobs, |_, (spec, d)| fuzz_cell(spec, d, seeds));
-    let mut lines = Vec::new();
-    let mut ok = true;
-    println!("    family        Q  regime  expect      runs  violations  verdict");
-    for (si, spec) in specs.iter().enumerate() {
-        let group = &reports[si * DECIDERS.len()..(si + 1) * DECIDERS.len()];
-        let viol: u64 = group.iter().map(|r| r.violations).sum();
-        let runs: u64 = group.iter().map(|r| r.runs).sum();
-        let verdict = match (spec.expect, viol > 0) {
-            (Expect::Clean, true) => {
-                ok = false;
-                "BUG"
-            }
-            (Expect::Clean, false) => "clean",
-            (Expect::Violation, true) => "predicted",
-            (Expect::Violation, false) => {
-                ok = false;
-                "MISSING"
-            }
-            (Expect::Any, true) => "observed",
-            (Expect::Any, false) => "quiet",
-        };
-        println!(
-            "    {:<12} {:>4}  {:<6}  {:<9} {:>5} {:>11}  {verdict}",
-            spec.family.name(),
-            spec.q,
-            spec.regime,
-            spec.expect.name(),
-            runs,
-            viol,
-        );
-        for (di, rep) in group.iter().enumerate() {
-            lines.push(Json::obj([
-                ("kind", Json::from("fuzz")),
-                (
-                    "cell",
-                    Json::obj([
-                        ("family", Json::from(spec.family.name())),
-                        ("q", Json::from(spec.q)),
-                        ("regime", Json::from(spec.regime)),
-                        ("decider", Json::from(DECIDERS[di])),
-                        ("seeds", Json::from(seeds)),
-                    ]),
-                ),
-                ("steps", Json::from(rep.steps)),
-                ("wall_ms", Json::from(wall_ms(rep.wall))),
-                ("violations", Json::from(rep.violations)),
-                ("expect", Json::from(spec.expect.name())),
-                ("verdict", Json::from(verdict)),
-            ]));
-        }
-        if viol > 0 {
-            let (di, rep) = group
-                .iter()
-                .enumerate()
-                .find(|(_, r)| r.first.is_some())
-                .expect("violations imply a first violating run");
-            let first = rep.first.as_ref().expect("checked above");
-            let ce = shrink_and_capture(spec, DECIDERS[di], first.seed, &first.script);
-            std::fs::create_dir_all(fuzz_dir).expect("create fuzz artifact dir");
-            let path = format!("{}/{}", fuzz_dir.trim_end_matches('/'), ce.file_name());
-            std::fs::write(&path, ce.to_text()).expect("write fuzz artifact");
-            println!(
-                "      ↳ shrunk script {} → {} forced decisions ({}), artifact {path}",
-                first.script.len(),
-                ce.forced,
-                ce.verdict
-            );
-        }
-    }
-    println!();
-    (lines, ok)
-}
-
-/// `--profile`: the schedule profiler sweep (see `lowerbound::profile`).
-///
-/// Profiles the central algorithm families at legal quantum under storm
-/// and random deciders, prints the per-cell and per-family derived
-/// metrics, writes one Perfetto timeline artifact per family, and returns
-/// the JSONL lines for `BENCH_profile.json`.
-fn profile_sweep(jobs: usize, smoke: bool) -> Vec<Json> {
-    let seeds = n_seeds(smoke);
-    println!(
-        "── Schedule profiler: {} families × {} deciders × {seeds} seeds at legal Q ({jobs} jobs) ──",
-        FAMILIES.len(),
-        PROFILE_DECIDERS.len(),
-    );
-    let cells = run_grid(jobs, smoke);
-    let util = |u: Option<f64>| u.map_or("-".to_string(), |u| format!("{u:.3}"));
-    println!(
-        "    family       Q decider  seed     steps  windows   util  same  higher  retries"
-    );
-    for c in &cells {
-        println!(
-            "    {:<10} {:>3} {:<7} {:>5} {:>9} {:>8}  {:>5} {:>5} {:>7} {:>8}",
-            c.family.name(),
-            c.q,
-            c.decider,
-            c.seed,
-            c.steps,
-            c.profile.total_windows(),
-            util(c.profile.utilization()),
-            c.profile.total_preempt_same(),
-            c.profile.total_preempt_higher(),
-            c.profile.total_retries(),
-        );
-    }
-    for family in FAMILIES {
-        let fam: Vec<_> = cells.iter().filter(|c| c.family == family).collect();
-        let mut merged = sched_sim::prof::Profile::new();
-        for c in &fam {
-            merged.merge(&c.profile);
-        }
-        println!(
-            "  {} merged over {} runs: util {}, {} same / {} higher preemptions, \
-             {} retries over {} invocations",
-            family.name(),
-            fam.len(),
-            util(merged.utilization()),
-            merged.total_preempt_same(),
-            merged.total_preempt_higher(),
-            merged.total_retries(),
-            merged.total_invocations(),
-        );
-    }
-    for family in FAMILIES {
+/// `--profile` (see `lowerbound::profile`): the profiler sweep, plus one
+/// Perfetto timeline per family in the current directory.
+fn profile_grid(jobs: usize) -> Rows {
+    let rows = profile::report_lines(&profile::run_grid(jobs, false));
+    for family in profile::FAMILIES {
         let path = format!("profile_{}.perfetto.json", family.name());
-        std::fs::write(&path, family_timeline(family)).expect("write perfetto timeline");
+        std::fs::write(&path, profile::family_timeline(family)).expect("write perfetto timeline");
         println!("  [timeline] wrote {path} (open in ui.perfetto.dev)");
     }
-    println!();
-    report_lines(&cells)
+    (rows, vec![])
 }
 
-/// `--native`: the native-backend grid (see `lowerbound::native`).
-///
-/// Runs the backend-generic algorithms on real OS threads (free and
-/// lockstep pacing), scores every cell against the simulator's
-/// agreement/linearizability oracles, prints the grid, and returns the
-/// JSONL lines of the lockstep cells (pure functions of their seeds: the
-/// committed `BENCH_native.json`), those of the free cells (decided by the
-/// host scheduler: sidecar only), and the gate flag: `false` — and so a
-/// nonzero exit — on a `BUG` (violation on a backend that must be clean)
-/// or a `MISSING` (a pinned sub-threshold seed that no longer splits the
-/// Fig. 3 decision), in either pacing. Free-mode Fig. 3 disagreement is
-/// *reported*, never gated: no commodity scheduler promises Axiom 2.
-fn native_grid() -> (Vec<Json>, Vec<Json>, bool) {
-    use lowerbound::native as ng;
-    let cells = ng::run_grid();
-    println!("── Native backend: {} OS-thread cells, oracle-checked ──", cells.len());
-    println!(
-        "    family             pacing     n   q  seed    ops    steps  retries  checked       viol  verdict"
-    );
-    for c in &cells {
-        println!(
-            "    {:<17} {:<8} {:>4} {:>3} {:>5} {:>6} {:>8} {:>8}  {:<12} {:>4}  {}",
-            c.family.name(),
-            c.pacing,
-            c.threads,
-            c.q,
-            c.seed,
-            c.ops,
-            c.steps,
-            c.retries,
-            c.checked,
-            c.violations,
-            c.verdict(),
-        );
-    }
-    let ok = ng::grid_ok(&cells);
-    if !ok {
-        println!("  NATIVE GATE FAILED: a gated cell diverged from the paper's prediction");
-    }
-    println!();
+/// `--native` (see `lowerbound::native`). It ignores `--jobs`: each cell
+/// spawns one OS thread per process, and nesting that under a worker pool
+/// would oversubscribe the machine. Lockstep rows are pure functions of
+/// their seeds; free rows are decided by the host scheduler, so they go
+/// whole to the sidecar (and are still gated).
+fn native_grid(_jobs: usize) -> Rows {
     let (lockstep, free): (Vec<_>, Vec<_>) =
-        cells.into_iter().partition(|c| c.pacing == "lockstep");
-    (ng::report_lines(&lockstep), ng::report_lines(&free), ok)
-}
-
-/// `--crash`: the crash-and-restart grid (see `lowerbound::crash`).
-///
-/// Runs every (family, noise, seed) crash cell — a deterministic
-/// crash/recover lifecycle plan under a noisy schedule, scored by the
-/// recovery-safe oracles — plus the churn service cell, prints the grid,
-/// and returns the JSONL lines for `BENCH_crash.json` with the gate flag:
-/// `false` (→ nonzero exit) if any cell's oracle reported a violation or a
-/// planned crash failed to fire.
-fn crash_grid(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
-    let n_cells = lowerbound::crash::grid(smoke).len();
-    println!(
-        "── Crash-and-restart grid: {n_cells} crash cells + 1 churn cell ({}, {jobs} jobs) ──",
-        if smoke { "smoke" } else { "full" }
-    );
-    let lines = lowerbound::crash::run_grid(jobs, smoke);
-    let cell_val = |l: &Json, key: &str| {
-        l.get("cell")
-            .and_then(|c| c.get(key))
-            .map_or("?".to_string(), |v| match v {
-                Json::Str(s) => s.clone(),
-                other => other.to_string(),
-            })
-    };
-    println!("    family      q  noise  seed  victim  crash@  recover@     steps  crashes  recoveries  verdict");
-    for l in &lines {
-        let num = |key: &str| l.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let ok = l.get("ok") == Some(&Json::Bool(true));
-        match l.get("kind").and_then(Json::as_str) {
-            Some("crash") => println!(
-                "    {:<9} {:>4}  {:>5} {:>5} {:>7} {:>7} {:>9} {:>9} {:>8} {:>11}  {}",
-                cell_val(l, "family"),
-                cell_val(l, "q"),
-                cell_val(l, "noise"),
-                cell_val(l, "seed"),
-                cell_val(l, "victim"),
-                cell_val(l, "crash_t"),
-                cell_val(l, "recover_t"),
-                num("steps"),
-                num("crashes"),
-                num("recoveries"),
-                if ok { "ok" } else { "VIOLATION" },
-            ),
-            Some("crash_churn") => println!(
-                "    churn: counter service, {} shards × {} workers, {} requests, {} crashes / {} recoveries — {}",
-                cell_val(l, "shards"),
-                cell_val(l, "workers"),
-                num("requests_served"),
-                num("crashes"),
-                num("recoveries"),
-                if ok { "ok" } else { "VIOLATION" },
-            ),
-            _ => {}
-        }
-        if !ok {
-            eprintln!("    ^^ FAILED: {l}");
-        }
-    }
-    let ok = lowerbound::crash::grid_ok(&lines);
-    if !ok {
-        println!("  CRASH GATE FAILED: a recovery-safe oracle reported a violation");
-    }
-    println!();
-    (lines, ok)
-}
-
-/// `--service`: the request-serving workload engine (see
-/// `lowerbound::service`).
-///
-/// Runs the (object, arrival) service grid — sharded universal objects
-/// serving a multiplexed client population over the sweep worker pool —
-/// prints the per-configuration summary, and returns the JSONL lines for
-/// `BENCH_service.json` plus the gate flag: `false` if any configuration
-/// failed to finish inside its step budget.
-fn service(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
-    let cfgs = lowerbound::service::grid(smoke);
-    println!(
-        "── Service engine: {} (object, arrival) configurations ({}, {jobs} jobs) ──",
-        cfgs.len(),
-        if smoke { "smoke" } else { "full" }
-    );
-    let lines = lowerbound::service::run_grid(jobs, smoke);
-    println!(
-        "    object   arrival  shards  clients  workers   requests  steps/req     p50     p90     p99  finished"
-    );
-    let mut ok = true;
-    let cell_str = |l: &Json, key: &str| {
-        l.get("cell")
-            .and_then(|c| c.get(key))
-            .map_or("?".to_string(), |v| match v {
-                Json::Str(s) => s.clone(),
-                other => other.to_string(),
-            })
-    };
-    for (cfg, l) in cfgs.iter().zip(
-        lines.iter().filter(|l| l.get("kind").and_then(Json::as_str) == Some("service_total")),
-    ) {
-        let finished = l.get("all_finished") == Some(&Json::Bool(true));
-        if !finished {
-            ok = false;
-        }
-        let num = |key: &str| l.get(key).and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "    {:<8} {:<8} {:>6} {:>8} {:>8} {:>10}  {:>9} {:>7} {:>7} {:>7}  {}",
-            cell_str(l, "object"),
-            cell_str(l, "arrival"),
-            cfg.shards,
-            cell_str(l, "clients"),
-            cell_str(l, "workers"),
-            num("requests"),
-            l.get("steps_per_request").and_then(Json::as_f64).unwrap_or(f64::NAN),
-            num("p50"),
-            num("p90"),
-            num("p99"),
-            if finished { "yes" } else { "NO (budget)" },
-        );
-    }
-    if !ok {
-        println!("  SERVICE GATE FAILED: a configuration exhausted its step budget");
-    }
-    println!();
-    (lines, ok)
+        native::run_grid().into_iter().partition(|c| c.pacing == "lockstep");
+    (native::report_lines(&lockstep), native::report_lines(&free))
 }
 
 fn lemma1() {
@@ -1133,94 +869,6 @@ fn indent(s: &str, pad: &str) -> String {
     s.lines().map(|l| format!("{pad}{l}")).collect::<Vec<_>>().join("\n")
 }
 
-/// Runs the exhaustive-exploration grid (`lowerbound::explore_grid`) and
-/// prints the scaling summary: per-mode wall time plus each workload's
-/// visited-state reduction factor (unreduced ÷ reduced). Returns the
-/// artifact rows and whether verification held — every *reduced* row must
-/// be verified (their budgets are sized to complete), and no row may
-/// report a property violation (unverified without truncation). Unreduced
-/// rows truncated at their step budget are expected on the largest
-/// workload: that is the cell exhaustive verification newly reaches
-/// through reduction.
-fn explore_grid_report(jobs: usize, smoke: bool) -> (Vec<Json>, bool) {
-    println!(
-        "── Exhaustive exploration at scale ({} grid, {jobs} jobs) ──",
-        if smoke { "smoke" } else { "full" }
-    );
-    let rows = lowerbound::explore_grid::run_grid(jobs, smoke);
-    let mut ok = true;
-    for row in &rows {
-        let s = |k: &str| row.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-        let n = |k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let kind = s("kind");
-        let workload = row
-            .get("cell")
-            .and_then(|c| c.get("workload"))
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let verified = row.get("verified") == Some(&Json::Bool(true));
-        let truncation = s("truncation");
-        let wall = row.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-        println!(
-            "    {workload:>14} {kind:<19} {:>12} steps {:>10} visited  {:>9.1} ms  [{}]",
-            n("steps"),
-            n("visited"),
-            wall,
-            if verified { "verified" } else { &truncation }
-        );
-        let reduced_row = kind.starts_with("explore_reduced");
-        let violation = truncation == "none" && !verified;
-        if (reduced_row && !verified) || violation {
-            eprintln!("    ^^ FAILED: {row}");
-            ok = false;
-        }
-    }
-    for cfg in lowerbound::explore_grid::grid(smoke) {
-        let row = |kind: &str| {
-            rows.iter().find(|r| {
-                r.get("kind").and_then(Json::as_str) == Some(kind)
-                    && r.get("cell").and_then(|c| c.get("workload")).and_then(Json::as_str)
-                        == Some(cfg.name)
-            })
-        };
-        let n = |kind: &str, key: &str| row(kind).and_then(|r| r.get(key)).and_then(Json::as_u64);
-        // An untruncated parallel run reproduces its serial twin's counts
-        // exactly (truncated runs depend on thread timing).
-        for (serial, par) in
-            [("explore_serial", "explore_parallel"), ("explore_reduced", "explore_reduced_par")]
-        {
-            let untruncated =
-                row(par).and_then(|r| r.get("truncation")).and_then(Json::as_str) == Some("none");
-            for key in ["steps", "terminals", "deduped", "por_pruned", "visited"] {
-                if untruncated && n(serial, key) != n(par, key) {
-                    eprintln!(
-                        "    ^^ FAILED: {} {par} {key} {:?} != {serial} {:?}",
-                        cfg.name,
-                        n(par, key),
-                        n(serial, key)
-                    );
-                    ok = false;
-                }
-            }
-        }
-        // Per-workload state-space reduction factor.
-        let (u, r) = (
-            n("explore_serial", "visited").unwrap_or(0),
-            n("explore_reduced", "visited").unwrap_or(0),
-        );
-        if r > 0 {
-            println!(
-                "    {:>14} reduction: {u} → {r} visited states ({:.1}×)",
-                cfg.name,
-                u as f64 / r as f64
-            );
-        }
-    }
-    println!();
-    (rows, ok)
-}
-
 fn poly_vs_exp() {
     println!("── Polynomial (Fig. 7) vs exponential (priority-only baseline) ──");
     println!("    N  |  Fig. 7 steps  objects |  baseline steps  objects");
@@ -1257,7 +905,9 @@ fn poly_vs_exp() {
 
 #[cfg(test)]
 mod tests {
-    use super::RunArgs;
+    use super::{artifact_names, schema_for, RunArgs, EXPERIMENTS};
+    use sched_sim::report::{validate_cells, CELL_SCHEMA, TIMING_SCHEMA};
+    use std::path::Path;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -1265,14 +915,90 @@ mod tests {
 
     #[test]
     fn unknown_experiment_flags_are_rejected() {
-        // A deleted experiment and a typo both fail instead of running
-        // nothing; option values and known selectors pass through.
-        for bad in ["--perf", "--perff"] {
+        // A deleted experiment or option and a typo all fail instead of
+        // running nothing; option values and known selectors pass through.
+        for bad in ["--perf", "--perff", "--smoke", "--fuzz-dir"] {
             let a = args(&["--thm1", bad, "--jobs", "2"]);
             assert_eq!(RunArgs::mode_flags(&a), Err(&bad.to_string()));
         }
-        let a = args(&["--thm1", "--jobs", "2", "--smoke", "--fuzz-dir", "out", "--native"]);
+        let a = args(&["--thm1", "--jobs", "2", "--native"]);
         assert_eq!(RunArgs::mode_flags(&a).unwrap(), ["--thm1", "--native"]);
         assert_eq!(RunArgs::mode_flags(&[]).unwrap(), Vec::<&String>::new());
+    }
+
+    /// One test over the table: flags and artifact names are unique (an
+    /// artifact shared by several entries has one definition), every flag
+    /// is a selector, and the committed `BENCH_*.json` files are exactly
+    /// the table's artifacts, each valid against its entry's keys.
+    #[test]
+    fn the_table_covers_every_committed_artifact() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(EXPERIMENTS[..i].iter().all(|o| o.flag != e.flag), "duplicate {}", e.flag);
+            assert_eq!(RunArgs::mode_flags(&args(&[e.flag])).unwrap(), [e.flag]);
+            let Some(a) = e.artifact else { continue };
+            for other in EXPERIMENTS[..i].iter().filter_map(|o| o.artifact) {
+                if other.name == a.name {
+                    assert_eq!(other.keys, a.keys, "{} has two definitions", a.name);
+                    assert_eq!(other.gate.is_some(), a.gate.is_some(), "{}", a.name);
+                }
+            }
+        }
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut committed: Vec<String> = std::fs::read_dir(&root)
+            .expect("workspace root")
+            .map(|d| d.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json") && !n.contains(".timing."))
+            .collect();
+        committed.sort();
+        let mut names = artifact_names();
+        names.sort();
+        assert_eq!(committed, names, "committed artifacts and table artifacts differ");
+        for name in names {
+            let text = std::fs::read_to_string(root.join(name)).expect("read artifact");
+            let schema = schema_for(Path::new(name)).expect("table artifact has a schema");
+            let rows = validate_cells(&text, &schema).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(rows > 0, "{name} is empty");
+        }
+    }
+
+    #[test]
+    fn validate_looks_artifacts_up_by_final_component() {
+        let keys = |p: &str| schema_for(Path::new(p));
+        let with = |extra: &[(&'static str, sched_sim::report::Kind)]| {
+            Some([CELL_SCHEMA, extra].concat())
+        };
+        // Relative and absolute paths pick the same schema.
+        assert_eq!(keys("BENCH_table1.json"), with(&[]));
+        assert_eq!(keys("BENCH_native.json"), with(lowerbound::native::KEYS));
+        assert_eq!(keys("/tmp/deep/dir/BENCH_native.json"), with(lowerbound::native::KEYS));
+        assert_eq!(keys("BENCH_crash.timing.json"), Some(TIMING_SCHEMA.to_vec()));
+        // A typo and a sidecar of no artifact are unknown, not validated
+        // against a weaker schema.
+        assert_eq!(keys("BENCH_nativ.json"), None);
+        assert_eq!(keys("BENCH_nativ.timing.json"), None);
+        assert_eq!(keys("profile.json"), None);
+        // A directory named like an artifact does not route the file
+        // inside it; the directory itself resolves by its own name (and
+        // reading it then fails).
+        assert_eq!(keys("/runs/BENCH_profile.json/BENCH_table1.json"), with(&[]));
+        assert_eq!(keys("/runs/BENCH_native.json/out.timing.json"), None);
+        assert_eq!(keys("/runs/BENCH_native.json/"), with(lowerbound::native::KEYS));
+        // No final component at all.
+        assert_eq!(keys("/"), None);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn validate_lookup_survives_non_utf8_segments() {
+        use std::ffi::OsStr;
+        use std::os::unix::ffi::OsStrExt;
+        use std::path::PathBuf;
+        // A non-UTF-8 *directory* segment does not affect the lookup…
+        let mut p = PathBuf::from(OsStr::from_bytes(b"/tmp/\xff\xfe"));
+        p.push("BENCH_service.json");
+        assert_eq!(schema_for(&p), Some([CELL_SCHEMA, lowerbound::service::KEYS].concat()));
+        // …and a non-UTF-8 *file name* is unknown rather than a panic.
+        let odd = PathBuf::from(OsStr::from_bytes(b"/tmp/\xffBENCH_service.json"));
+        assert_eq!(schema_for(&odd), None);
     }
 }

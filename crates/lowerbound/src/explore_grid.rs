@@ -23,6 +23,7 @@
 //!   verification newly reaches through reduction.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use hybrid_wf::uni::consensus::{
     append_decide, decide_machine, ConsensusCell, UniConsensusLocals, UniConsensusMem,
@@ -33,7 +34,7 @@ use sched_sim::ids::{ProcessId, ProcessorId, Priority};
 use sched_sim::kernel::{Kernel, SystemSpec};
 use sched_sim::machine::Footprint;
 use sched_sim::program::{ProgMachine, ProgramBuilder};
-use sched_sim::report::Json;
+use sched_sim::report::{wall_ms, Json, Kind};
 use sched_sim::scenario::Scenario;
 
 /// Two independent Fig. 3 consensus objects in one shared memory — the
@@ -259,7 +260,7 @@ fn run_mode<M: Clone + std::hash::Hash + Send>(
     check: impl Fn(&Kernel<M>) -> Option<String> + Sync,
 ) -> (Json, ExploreStats) {
     let violations = Mutex::new(0u64);
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let stats = explore_parallel(kernel, bounds, jobs, |k| {
         if check(k).is_some() {
             *violations.lock().expect("violation counter poisoned") += 1;
@@ -289,7 +290,7 @@ fn run_mode<M: Clone + std::hash::Hash + Send>(
         ("visited", Json::from(stats.peak_visited)),
         ("truncation", Json::from(stats.truncation.name())),
         ("verified", Json::Bool(verified)),
-        ("wall_ms", Json::from(wall.as_secs_f64() * 1e3)),
+        ("wall_ms", Json::from(wall_ms(wall))),
     ]);
     (row, stats)
 }
@@ -359,6 +360,55 @@ pub fn run_grid(jobs: usize, smoke: bool) -> Vec<Json> {
     grid(smoke).iter().flat_map(|cfg| run_config(cfg, jobs)).collect()
 }
 
+/// The keys every `BENCH_explore.json` row carries beyond
+/// `report::CELL_SCHEMA`: the [`ExploreStats`] payload and the
+/// verification verdict (`verified`: every terminal satisfied the checked
+/// property and no bound truncated the search).
+pub const KEYS: &[(&str, Kind)] = &[
+    ("terminals", Kind::Num),
+    ("deduped", Kind::Num),
+    ("por_pruned", Kind::Num),
+    ("visited", Kind::Num),
+    ("truncation", Kind::Str),
+    ("verified", Kind::Bool),
+];
+
+/// The gate of the grid. Every reduced row must be verified (their budgets
+/// are sized to complete), and no row may report a property violation
+/// (unverified without truncation); unreduced rows truncated at their
+/// step budget are expected on the largest workload. Every untruncated
+/// parallel row must also reproduce its serial twin's `steps`,
+/// `terminals`, `deduped`, `por_pruned` and `visited` exactly; a row whose
+/// twin is not among `rows` is judged on its own.
+pub fn grid_ok(rows: &[Json]) -> bool {
+    fn text<'a>(r: &'a Json, key: &str) -> Option<&'a str> {
+        r.get(key).and_then(Json::as_str)
+    }
+    let workload = |r: &Json| r.get("cell").and_then(|c| c.get("workload")).cloned();
+    let verified = rows.iter().all(|r| {
+        let reduced = text(r, "kind").is_some_and(|k| k.starts_with("explore_reduced"));
+        r.get("verified") == Some(&Json::Bool(true))
+            || !(reduced || text(r, "truncation") == Some("none"))
+    });
+    let twins_agree = rows.iter().all(|par| {
+        let twin = match text(par, "kind") {
+            Some("explore_parallel") => "explore_serial",
+            Some("explore_reduced_par") => "explore_reduced",
+            _ => return true,
+        };
+        let serial = rows
+            .iter()
+            .find(|r| text(r, "kind") == Some(twin) && workload(r) == workload(par));
+        text(par, "truncation") != Some("none")
+            || serial.is_none_or(|s| {
+                ["steps", "terminals", "deduped", "por_pruned", "visited"]
+                    .iter()
+                    .all(|k| par.get(k) == s.get(k))
+            })
+    });
+    verified && twins_agree
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,57 +417,24 @@ mod tests {
     fn smoke_grid_rows_verify_and_agree_across_modes() {
         let rows = run_grid(2, true);
         assert_eq!(rows.len(), grid(true).len() * 4);
+        assert!(grid_ok(&rows));
         for row in &rows {
-            let kind = row.get("kind").and_then(Json::as_str).unwrap().to_string();
-            let workload = row
-                .get("cell")
-                .and_then(|c| c.get("workload"))
-                .and_then(Json::as_str)
-                .unwrap()
-                .to_string();
-            assert_eq!(
-                row.get("verified"),
-                Some(&Json::Bool(true)),
-                "{workload}/{kind} failed verification: {row}"
-            );
+            assert_eq!(row.get("verified"), Some(&Json::Bool(true)), "failed verification: {row}");
         }
-        // Serial and parallel stats are bit-identical mode for mode, and
-        // reduction never grows the state space.
-        for cfg in grid(true) {
-            let of = |kind: &str, key: &str| -> u64 {
-                rows.iter()
-                    .find(|r| {
-                        r.get("kind").and_then(Json::as_str) == Some(kind)
-                            && r.get("cell")
-                                .and_then(|c| c.get("workload"))
-                                .and_then(Json::as_str)
-                                == Some(cfg.name)
-                    })
-                    .and_then(|r| r.get(key))
-                    .and_then(Json::as_u64)
-                    .unwrap()
-            };
-            for key in ["steps", "terminals", "deduped", "visited"] {
-                assert_eq!(
-                    of("explore_serial", key),
-                    of("explore_parallel", key),
-                    "{} {key}",
-                    cfg.name
-                );
-                assert_eq!(
-                    of("explore_reduced", key),
-                    of("explore_reduced_par", key),
-                    "{} {key}",
-                    cfg.name
-                );
+        // serial == parallel is `grid_ok`'s, which tampered rows must fail.
+        let tamper = |i: usize, key: &str, v: Json| {
+            let mut t = rows.clone();
+            if let Json::Obj(pairs) = &mut t[i] {
+                pairs.iter_mut().find(|(k, _)| k == key).unwrap().1 = v;
             }
-            assert!(
-                of("explore_reduced", "visited") <= of("explore_serial", "visited"),
-                "{}: reduction grew the state space",
-                cfg.name
-            );
-        }
-        // The showcase workloads actually reduce.
+            t
+        };
+        assert_eq!(rows[1].get("kind"), Some(&Json::from("explore_parallel")));
+        assert!(!grid_ok(&tamper(1, "visited", Json::from(0u64))), "twin mismatch passed");
+        assert!(grid_ok(&tamper(1, "visited", Json::from(0u64))[1..2]), "a lone row has no twin");
+        assert!(!grid_ok(&tamper(2, "verified", Json::Bool(false))), "unverified reduced row passed");
+        // Reduction never grows the state space, and the showcase
+        // workloads actually shrink.
         let visited = |name: &str, kind: &str| {
             rows.iter()
                 .find(|r| {
@@ -429,6 +446,13 @@ mod tests {
                 .and_then(Json::as_u64)
                 .unwrap()
         };
+        for cfg in grid(true) {
+            assert!(
+                visited(cfg.name, "explore_reduced") <= visited(cfg.name, "explore_serial"),
+                "{}: reduction grew the state space",
+                cfg.name
+            );
+        }
         assert!(
             visited("fig3_q8_4p_sym", "explore_serial")
                 >= 5 * visited("fig3_q8_4p_sym", "explore_reduced"),

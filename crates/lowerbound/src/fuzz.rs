@@ -27,6 +27,7 @@
 //! comments to [`Trace::from_text`], so the whole artifact parses as a
 //! trace).
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hybrid_wf::baseline::exponential::{decide_machine as exp_decide, ExpMem};
@@ -50,8 +51,10 @@ use sched_sim::ids::{ProcessorId, Priority};
 use sched_sim::kernel::SystemSpec;
 use sched_sim::obs::Trace;
 use sched_sim::prof::Profile;
+use sched_sim::report::{wall_ms, Json, Kind};
 use sched_sim::scenario::{RunResult, Scenario};
 use sched_sim::shrink::shrink_script;
+use sched_sim::sweep::run_cells;
 
 use crate::adversary::MaxPreempt;
 
@@ -147,6 +150,20 @@ impl Expect {
             Expect::Clean => "clean",
             Expect::Violation => "violation",
             Expect::Any => "any",
+        }
+    }
+
+    /// The verdict of a cell with this prediction: `clean`/`BUG`,
+    /// `predicted`/`MISSING` or `observed`/`quiet`, by whether it saw a
+    /// violation. `BUG` and `MISSING` fail [`grid_ok`].
+    pub fn verdict(self, violated: bool) -> &'static str {
+        match (self, violated) {
+            (Expect::Clean, true) => "BUG",
+            (Expect::Clean, false) => "clean",
+            (Expect::Violation, true) => "predicted",
+            (Expect::Violation, false) => "MISSING",
+            (Expect::Any, true) => "observed",
+            (Expect::Any, false) => "quiet",
         }
     }
 }
@@ -604,6 +621,72 @@ pub fn fuzz_cell(spec: &CaseSpec, decider: &str, seeds: u64) -> CellReport {
         }
     }
     report
+}
+
+/// Seeds per (spec, decider) cell of the grid: three times what every
+/// [`Expect::Violation`] spec needs to fire (the deepest known witness
+/// sits at seed 5).
+pub const SEEDS: u64 = 24;
+
+/// The keys every `BENCH_fuzz.json` row carries beyond
+/// `report::CELL_SCHEMA`.
+pub const KEYS: &[(&str, Kind)] =
+    &[("violations", Kind::Num), ("expect", Kind::Str), ("verdict", Kind::Str)];
+
+/// Runs the fuzz grid: every [`case_specs`] spec under every decider in
+/// [`DECIDERS`] for [`SEEDS`] seeds each, over `jobs` sweep workers. Each
+/// spec's verdict compares its total violation count with the paper's
+/// prediction ([`Expect::verdict`]). The first violation of each violating
+/// spec is delta-debugged ([`shrink_and_capture`]) and written as a
+/// replayable trace under `trace_dir`. Returns the `BENCH_fuzz.json` rows
+/// (one per spec and decider) and the paths of the traces written.
+pub fn run_grid(jobs: usize, trace_dir: &Path) -> (Vec<Json>, Vec<PathBuf>) {
+    let specs = case_specs();
+    let cells: Vec<(CaseSpec, &'static str)> =
+        specs.iter().flat_map(|s| DECIDERS.iter().map(|d| (*s, *d))).collect();
+    let reports = run_cells(&cells, jobs, |_, (spec, d)| fuzz_cell(spec, d, SEEDS));
+    let mut rows = Vec::new();
+    let mut traces = Vec::new();
+    for (spec, group) in specs.iter().zip(reports.chunks(DECIDERS.len())) {
+        let viol: u64 = group.iter().map(|r| r.violations).sum();
+        let verdict = spec.expect.verdict(viol > 0);
+        for (decider, rep) in DECIDERS.iter().zip(group) {
+            rows.push(Json::obj([
+                ("kind", Json::from("fuzz")),
+                (
+                    "cell",
+                    Json::obj([
+                        ("family", Json::from(spec.family.name())),
+                        ("q", Json::from(spec.q)),
+                        ("regime", Json::from(spec.regime)),
+                        ("decider", Json::from(*decider)),
+                        ("seeds", Json::from(SEEDS)),
+                    ]),
+                ),
+                ("steps", Json::from(rep.steps)),
+                ("wall_ms", Json::from(wall_ms(rep.wall))),
+                ("violations", Json::from(rep.violations)),
+                ("expect", Json::from(spec.expect.name())),
+                ("verdict", Json::from(verdict)),
+            ]));
+        }
+        let first = DECIDERS.iter().zip(group).find_map(|(d, r)| Some((d, r.first.as_ref()?)));
+        if let Some((decider, first)) = first {
+            let ce = shrink_and_capture(spec, decider, first.seed, &first.script);
+            std::fs::create_dir_all(trace_dir).expect("create fuzz trace dir");
+            let path = trace_dir.join(ce.file_name());
+            std::fs::write(&path, ce.to_text()).expect("write fuzz trace");
+            traces.push(path);
+        }
+    }
+    (rows, traces)
+}
+
+/// The gate of the fuzz grid (and of the native grid, which shares its
+/// verdicts): no row is a `BUG` (a violation at legal `Q`) or `MISSING`
+/// (no violation where Theorem 3 predicts impossibility).
+pub fn grid_ok(rows: &[Json]) -> bool {
+    rows.iter().all(|r| !matches!(r.get("verdict").and_then(Json::as_str), Some("BUG" | "MISSING")))
 }
 
 /// A shrunk, replayable counterexample — the fuzz artifact payload.

@@ -23,18 +23,15 @@
 //!   violation search against the Fig. 7 algorithm, used by the `table1`
 //!   experiment to locate the quantum threshold between the paper's upper
 //!   and lower bounds.
-//! * [`crash`] — the crash-and-restart grid behind `experiments --crash`:
-//!   crash/recover lifecycle plans as a first-class scenario axis, with
-//!   recovery-safe agreement/exactly-once/linearizability oracles, noisy
-//!   (Aspnes-style) schedules, and a churn-surviving service cell.
-//! * [`service`] — the long-lived request-serving grid behind
-//!   `experiments --service`: sharded universal objects under thousands
-//!   of multiplexed clients, with latency-percentile reporting.
-//! * [`native`] — the native-backend execution grid behind
-//!   `experiments --native`: the backend-generic algorithms on real OS
-//!   threads (free and lockstep pacing), every run cross-validated by the
-//!   simulator's own agreement/linearizability oracles, with pinned
-//!   sub-threshold seeds reproducing the `Q = 1` disagreement on hardware.
+//! * [`fuzz`], [`profile`], [`native`], [`service`], [`crash`] and
+//!   [`explore_grid`] — the six artifact grids of the `experiments`
+//!   table: adversarial schedule fuzz with shrunk counterexamples, the
+//!   schedule profiler, the backend-generic algorithms on real OS threads,
+//!   sharded request-serving services, crash/recover lifecycle plans, and
+//!   exhaustive Lemma 1 verification. Each module builds its grid's rows
+//!   and defines next to them the `KEYS` those rows carry beyond
+//!   `sched_sim::report::CELL_SCHEMA`; all but `profile` also define the
+//!   grid's `grid_ok` gate.
 //!
 //! The adversaries here are ordinary `sched_sim` deciders, so everything
 //! they do is subject to the same Axiom 1/2 well-formedness checking as

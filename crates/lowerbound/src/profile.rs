@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use sched_sim::obs::Trace;
 use sched_sim::prof::{chrome_trace_text, Profile};
-use sched_sim::report::Json;
+use sched_sim::report::{wall_ms, Json, Kind};
 use sched_sim::sweep::run_cells;
 
 use crate::fuzz::{build_decider, engine, Family};
@@ -94,11 +94,11 @@ pub fn run_grid(jobs: usize, smoke: bool) -> Vec<ProfCell> {
     })
 }
 
-/// Wall-clock milliseconds rounded to 3 decimals (the artifact
-/// convention; stripped into the `.timing.json` sidecar on write).
-fn wall_ms(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e3 * 1e3).round() / 1e3
-}
+/// The keys every `BENCH_profile.json` row carries beyond
+/// `report::CELL_SCHEMA`: the derived schedule metrics of [`Profile`]
+/// (scalar totals on per-cell rows; full per-process/per-priority tables
+/// with histograms on per-family rows).
+pub const KEYS: &[(&str, Kind)] = &[("metrics", Kind::Obj)];
 
 /// Renders the grid as JSONL report lines: one `"profile"` line per cell
 /// with compact scalar metrics, then one `"profile_family"` line per

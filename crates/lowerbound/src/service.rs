@@ -20,10 +20,10 @@
 //! clients think for a fixed statement count between requests, and an
 //! **open loop** releasing worker cohorts on a fixed period. The full
 //! grid's flagship configuration streams over a million requests from a
-//! thousand clients through eight shards; `--smoke` keeps the same shape
-//! at CI scale.
+//! thousand clients through eight shards; `grid(true)` keeps the same shape
+//! at the scale of the debug-mode tests.
 //!
-//! Artifact lines follow `report::SERVICE_SCHEMA`: per-shard
+//! Artifact lines carry `report::CELL_SCHEMA` plus [`KEYS`]: per-shard
 //! `service_shard` lines plus a `service_total` summary per configuration,
 //! carrying the deterministic throughput figure (`steps_per_request`) and
 //! p50/p90/p99 request-latency percentiles overall and per priority level.
@@ -37,7 +37,7 @@ use hybrid_wf::oracle::{CasRegOp, CasRegisterSpec, QueueOp, QueueSpec};
 use hybrid_wf::service::{session_mem, OpGen, SessionMachine};
 use hybrid_wf::universal::{CounterSpec, UniversalMem};
 use sched_sim::kernel::SystemSpec;
-use sched_sim::report::Json;
+use sched_sim::report::{Json, Kind};
 use sched_sim::scenario::Scenario;
 use sched_sim::service::{Arrival, Service, ServiceSpec, ShardPlan};
 
@@ -66,8 +66,8 @@ pub struct ServiceConfig {
 /// open loop. The full-scale counter configurations stream 2²⁰ requests
 /// (over a million) from 1024 clients through 8 shards; the queue runs at
 /// 2¹⁸ (its replica replay clones a `Vec` per applied op, an intentional
-/// cost difference the throughput figures surface). `--smoke` keeps every
-/// (object, arrival) pair at CI scale.
+/// cost difference the throughput figures surface). `smoke` keeps every
+/// (object, arrival) pair at the scale of the debug-mode tests.
 pub fn grid(smoke: bool) -> Vec<ServiceConfig> {
     let (shards, clients, workers) = if smoke { (4, 64, 2) } else { (8, 1024, 4) };
     let closed = Arrival::ClosedLoop { think: 8 };
@@ -164,6 +164,21 @@ where
     s
 }
 
+/// The keys every `BENCH_service.json` row carries beyond
+/// `report::CELL_SCHEMA`: the request count, the deterministic throughput
+/// figure (`steps_per_request`), the request-latency percentiles and the
+/// completion flag [`grid_ok`] gates. The percentiles are `Any`, not `Num`:
+/// an empty latency histogram has no percentiles and reports `null` (a
+/// fake 0 would be indistinguishable from a real fast cell).
+pub const KEYS: &[(&str, Kind)] = &[
+    ("requests", Kind::Num),
+    ("steps_per_request", Kind::Num),
+    ("p50", Kind::Any),
+    ("p90", Kind::Any),
+    ("p99", Kind::Any),
+    ("all_finished", Kind::Bool),
+];
+
 /// Runs one configuration over `jobs` sweep workers and renders its
 /// artifact lines.
 pub fn run_config(cfg: &ServiceConfig, jobs: usize) -> Vec<Json> {
@@ -209,6 +224,12 @@ pub fn run_grid(jobs: usize, smoke: bool) -> Vec<Json> {
     grid(smoke).iter().flat_map(|cfg| run_config(cfg, jobs)).collect()
 }
 
+/// The gate of the service grid: every shard of every configuration
+/// finished inside its step budget.
+pub fn grid_ok(rows: &[Json]) -> bool {
+    rows.iter().all(|r| r.get("all_finished") == Some(&Json::Bool(true)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,15 +246,10 @@ mod tests {
         // One total line per config, plus one line per shard.
         let shard_lines: usize = configs.iter().map(|c| c.shards as usize).sum();
         assert_eq!(serial.len(), shard_lines + configs.len());
+        assert!(grid_ok(&serial), "a configuration exhausted its step budget");
         let mut totals = 0u64;
         for line in &serial {
-            let kind = line.get("kind").and_then(Json::as_str).unwrap();
-            assert_eq!(
-                line.get("all_finished"),
-                Some(&Json::Bool(true)),
-                "{line}"
-            );
-            if kind == "service_total" {
+            if line.get("kind").and_then(Json::as_str) == Some("service_total") {
                 totals += 1;
                 assert!(line.get("p99").and_then(Json::as_u64).is_some());
             }

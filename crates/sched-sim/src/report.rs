@@ -450,37 +450,12 @@ pub fn validate_cells(text: &str, required: &[(&str, Kind)]) -> Result<usize, St
 /// deterministic payloads, so regenerating an artifact on a faster or
 /// slower machine leaves the committed file byte-identical. Timing is
 /// published separately in a `*.timing.json` sidecar validated against
-/// [`TIMING_SCHEMA`] (see [`split_timing`]).
+/// [`TIMING_SCHEMA`] (see [`split_timing`]). Each grid adds its own
+/// required keys next to its row builder (e.g. `lowerbound::crash::KEYS`).
 pub const CELL_SCHEMA: &[(&str, Kind)] = &[
     ("kind", Kind::Str),
     ("cell", Kind::Obj),
     ("steps", Kind::Num),
-];
-
-/// The envelope of a profiler report line (`BENCH_profile.json`): the
-/// standard [`CELL_SCHEMA`] plus a `metrics` object holding the derived
-/// schedule metrics of [`crate::prof::Profile`] (scalar totals on per-cell
-/// lines; full per-process/per-priority tables with histograms on
-/// per-family summary lines).
-pub const PROFILE_SCHEMA: &[(&str, Kind)] = &[
-    ("kind", Kind::Str),
-    ("cell", Kind::Obj),
-    ("steps", Kind::Num),
-    ("metrics", Kind::Obj),
-];
-
-/// The envelope of a native-grid report line (`BENCH_native.json`): the
-/// standard [`CELL_SCHEMA`] plus the operation count, the oracle
-/// violation count, and the cell's verdict against the paper's
-/// prediction (`clean`/`BUG`, `predicted`/`MISSING`, `observed`/`quiet`
-/// — see `lowerbound::native`).
-pub const NATIVE_SCHEMA: &[(&str, Kind)] = &[
-    ("kind", Kind::Str),
-    ("cell", Kind::Obj),
-    ("steps", Kind::Num),
-    ("ops", Kind::Num),
-    ("violations", Kind::Num),
-    ("verdict", Kind::Str),
 ];
 
 /// The envelope of a `*.timing.json` sidecar line: the `kind` and `cell`
@@ -491,84 +466,11 @@ pub const TIMING_SCHEMA: &[(&str, Kind)] = &[
     ("wall_ms", Kind::Num),
 ];
 
-/// The envelope of a service report line (`BENCH_service.json`): the
-/// standard [`CELL_SCHEMA`] plus the request count, the deterministic
-/// throughput figure (`steps_per_request`), and the request-latency
-/// percentiles (see `sched_sim::service`). The percentiles are `Any`, not
-/// `Num`: an empty latency histogram has no percentiles and reports
-/// `null` (a fake 0 would be indistinguishable from a real fast cell).
-pub const SERVICE_SCHEMA: &[(&str, Kind)] = &[
-    ("kind", Kind::Str),
-    ("cell", Kind::Obj),
-    ("steps", Kind::Num),
-    ("requests", Kind::Num),
-    ("steps_per_request", Kind::Num),
-    ("p50", Kind::Any),
-    ("p90", Kind::Any),
-    ("p99", Kind::Any),
-];
-
-/// The envelope of a crash-grid report line (`BENCH_crash.json`): the
-/// standard [`CELL_SCHEMA`] plus the lifecycle counts, the recovery-safe
-/// oracle's violation count, and the cell verdict (`ok`: agreement,
-/// validity, and exactly-once linearization all held across every crash
-/// and recovery boundary — see `lowerbound::crash`).
-pub const CRASH_SCHEMA: &[(&str, Kind)] = &[
-    ("kind", Kind::Str),
-    ("cell", Kind::Obj),
-    ("steps", Kind::Num),
-    ("crashes", Kind::Num),
-    ("recoveries", Kind::Num),
-    ("violations", Kind::Num),
-    ("ok", Kind::Bool),
-];
-
-/// The envelope of an exhaustive-exploration report line
-/// (`BENCH_explore.json`): the standard [`CELL_SCHEMA`] plus the
-/// [`crate::explore::ExploreStats`] payload (`terminals`, `deduped`,
-/// `por_pruned`, `visited`, `truncation`) and the verification verdict
-/// (`verified`: every terminal satisfied the checked property and no bound
-/// truncated the search).
-pub const EXPLORE_SCHEMA: &[(&str, Kind)] = &[
-    ("kind", Kind::Str),
-    ("cell", Kind::Obj),
-    ("steps", Kind::Num),
-    ("terminals", Kind::Num),
-    ("deduped", Kind::Num),
-    ("por_pruned", Kind::Num),
-    ("visited", Kind::Num),
-    ("truncation", Kind::Str),
-    ("verified", Kind::Bool),
-];
-
-/// Picks the validation schema for an artifact by its **final path
-/// component** (never the whole path, so a directory named `profile.json/`
-/// or a non-UTF8 parent segment cannot misroute the choice):
-/// `*.timing.json` → [`TIMING_SCHEMA`], `*profile.json` →
-/// [`PROFILE_SCHEMA`], `*native.json` → [`NATIVE_SCHEMA`],
-/// `*service.json` → [`SERVICE_SCHEMA`], `*explore.json` →
-/// [`EXPLORE_SCHEMA`], `*crash.json` → [`CRASH_SCHEMA`], anything else →
-/// [`CELL_SCHEMA`].
-pub fn schema_for_path(path: &std::path::Path) -> &'static [(&'static str, Kind)] {
-    // `to_string_lossy` on the file name alone: a non-UTF8 byte in the
-    // name maps to U+FFFD, which simply fails all suffix matches and
-    // falls through to the default schema instead of panicking.
-    let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
-    if name.ends_with(".timing.json") {
-        TIMING_SCHEMA
-    } else if name.ends_with("profile.json") {
-        PROFILE_SCHEMA
-    } else if name.ends_with("native.json") {
-        NATIVE_SCHEMA
-    } else if name.ends_with("service.json") {
-        SERVICE_SCHEMA
-    } else if name.ends_with("explore.json") {
-        EXPLORE_SCHEMA
-    } else if name.ends_with("crash.json") {
-        CRASH_SCHEMA
-    } else {
-        CELL_SCHEMA
-    }
+/// A row's `wall_ms` value: `d` in milliseconds, rounded to 1 µs so
+/// sidecars stay compact. Wall time is metadata; [`split_timing`] moves it
+/// out of every canonical artifact.
+pub fn wall_ms(d: std::time::Duration) -> f64 {
+    (d.as_secs_f64() * 1e6).round() / 1e3
 }
 
 /// Splits a sweep cell into its canonical payload and its timing sidecar
@@ -699,52 +601,5 @@ mod tests {
         let malformed = format!("{}\nnot json\n", cell_line("a"));
         let err = validate_cells(&malformed, CELL_SCHEMA).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn schema_for_path_matches_on_the_final_component_only() {
-        use std::path::Path;
-        // Relative and absolute paths pick the same schema.
-        assert_eq!(schema_for_path(Path::new("BENCH_table1.json")), CELL_SCHEMA);
-        assert_eq!(schema_for_path(Path::new("BENCH_profile.json")), PROFILE_SCHEMA);
-        assert_eq!(schema_for_path(Path::new("BENCH_native.json")), NATIVE_SCHEMA);
-        assert_eq!(schema_for_path(Path::new("BENCH_service.json")), SERVICE_SCHEMA);
-        assert_eq!(schema_for_path(Path::new("BENCH_explore.json")), EXPLORE_SCHEMA);
-        assert_eq!(schema_for_path(Path::new("BENCH_crash.json")), CRASH_SCHEMA);
-        assert_eq!(schema_for_path(Path::new("BENCH_service.timing.json")), TIMING_SCHEMA);
-        assert_eq!(schema_for_path(Path::new("BENCH_crash.timing.json")), TIMING_SCHEMA);
-        assert_eq!(
-            schema_for_path(Path::new("/tmp/deep/dir/BENCH_native.json")),
-            NATIVE_SCHEMA
-        );
-        // A *directory* component that looks like an artifact name must not
-        // misroute the file inside it (the bug this helper fixes: suffix
-        // matching on the whole path string).
-        assert_eq!(
-            schema_for_path(Path::new("/runs/profile.json/BENCH_table1.json")),
-            CELL_SCHEMA
-        );
-        assert_eq!(
-            schema_for_path(Path::new("/runs/native.json/out.timing.json")),
-            TIMING_SCHEMA
-        );
-        // No final component at all: the default schema.
-        assert_eq!(schema_for_path(Path::new("/")), CELL_SCHEMA);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn schema_for_path_survives_non_utf8_segments() {
-        use std::ffi::OsStr;
-        use std::os::unix::ffi::OsStrExt;
-        use std::path::PathBuf;
-        // A non-UTF8 *directory* segment must not affect the choice…
-        let mut p = PathBuf::from(OsStr::from_bytes(b"/tmp/\xff\xfe"));
-        p.push("BENCH_service.json");
-        assert_eq!(schema_for_path(&p), SERVICE_SCHEMA);
-        // …and a non-UTF8 *file name* falls back to the default schema
-        // rather than panicking.
-        let odd = PathBuf::from(OsStr::from_bytes(b"/tmp/\xffservice.json\xff"));
-        assert_eq!(schema_for_path(&odd), CELL_SCHEMA);
     }
 }

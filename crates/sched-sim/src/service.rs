@@ -46,7 +46,7 @@ use crate::ids::{ProcessId, ProcessorId, Priority};
 use crate::kernel::Kernel;
 use crate::machine::StepMachine;
 use crate::prof::Hist;
-use crate::report::Json;
+use crate::report::{wall_ms, Json};
 use crate::scenario::{Scenario, DEFAULT_STEP_BUDGET};
 use crate::sweep::run_cells;
 
@@ -655,11 +655,6 @@ impl ServiceReport {
         ]));
         lines
     }
-}
-
-/// Wall-clock milliseconds rounded to 1 µs (the artifact convention).
-fn wall_ms(d: Duration) -> f64 {
-    (d.as_secs_f64() * 1e3 * 1e3).round() / 1e3
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use native::harness::{
 };
 use sched_sim::ids::ProcessId;
 use sched_sim::kernel::OpRecord;
-use sched_sim::report::{validate_cells, Json, NATIVE_SCHEMA};
+use sched_sim::report::{validate_cells, Json, CELL_SCHEMA};
 use wfmem::SimBackend;
 
 fn fig3_inputs(n: usize) -> Vec<u64> {
@@ -223,29 +223,24 @@ fn same_workload_same_oracle_on_both_backends() {
 fn committed_native_artifact_is_schema_valid_and_gate_clean() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_native.json");
     let text = std::fs::read_to_string(path).expect("committed BENCH_native.json exists");
-    let cells = validate_cells(&text, NATIVE_SCHEMA).expect("artifact matches NATIVE_SCHEMA");
+    let schema = [CELL_SCHEMA, lowerbound::native::KEYS].concat();
+    let cells = validate_cells(&text, &schema).expect("artifact carries the native grid's keys");
     assert!(cells > 0);
-    let mut predicted = 0u32;
-    for line in text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
-        let v = Json::parse(line).expect("artifact line parses");
+    let rows: Vec<Json> = text
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| Json::parse(l).expect("artifact line parses"))
+        .collect();
+    for row in &rows {
         assert_eq!(
-            v.get("cell").and_then(|c| c.get("pacing")).and_then(Json::as_str),
+            row.get("cell").and_then(|c| c.get("pacing")).and_then(Json::as_str),
             Some("lockstep"),
-            "committed artifact carries a free-mode row: {line}"
+            "committed artifact carries a free-mode row: {row}"
         );
-        match v.get("verdict") {
-            Some(Json::Str(s)) => {
-                assert!(
-                    !matches!(s.as_str(), "BUG" | "MISSING"),
-                    "committed artifact carries a gated failure: {line}"
-                );
-                if s == "predicted" {
-                    predicted += 1;
-                }
-            }
-            other => panic!("verdict missing or non-string: {other:?}"),
-        }
     }
+    assert!(lowerbound::native::grid_ok(&rows), "committed artifact carries a gated failure");
+    let predicted =
+        rows.iter().filter(|r| r.get("verdict").and_then(Json::as_str) == Some("predicted")).count();
     // The pinned sub-threshold cells must be present and firing.
     assert!(predicted >= 6, "expected the pinned Q = 1 cells to be 'predicted'");
 }
