@@ -327,13 +327,12 @@ mod tests {
             let inputs: Vec<(Val, u32)> =
                 (0..6).map(|i| (i + 1, 1 + (i as u32) % 4)).collect();
             let vals: Vec<Val> = inputs.iter().map(|&(v, _)| v).collect();
-            let mut k = kernel(
-                SystemSpec::hybrid(MIN_QUANTUM).with_adversarial_alignment().with_history(),
-                &inputs,
-            );
+            let mut k =
+                kernel(SystemSpec::hybrid(MIN_QUANTUM).with_adversarial_alignment(), &inputs);
+            k.attach_obs();
             k.run(&mut SeededRandom::new(seed), 100_000);
             assert!(k.all_finished(), "seed {seed} did not finish");
-            check_well_formed(k.history()).expect("well-formed");
+            check_well_formed(&k.history()).expect("well-formed");
             if let Some(err) = consensus_property(&k, &vals) {
                 panic!("seed {seed}: {err}");
             }

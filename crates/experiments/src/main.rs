@@ -69,10 +69,11 @@ use sched_sim::decision::RoundRobin;
 use sched_sim::explore::{check_all_schedules, explore, ExploreBounds, Verdict};
 use sched_sim::ids::{ProcessId, ProcessorId, Priority};
 use sched_sim::kernel::SystemSpec;
+use sched_sim::obs::ObsEvent;
 use sched_sim::report::{
     split_timing, validate_cells, wall_ms, Json, Kind, CELL_SCHEMA, TIMING_SCHEMA,
 };
-use sched_sim::scenario::{RunResult, Scenario};
+use sched_sim::scenario::Scenario;
 use sched_sim::sweep::{cross, default_jobs, run_cells};
 
 /// Required keys of an artifact row.
@@ -832,7 +833,7 @@ fn obs() {
     let per = 4u32;
     let mut scen = Scenario::new(
         UniversalMem::<CounterSpec>::new(n, 4 * (n * per) as usize + 4),
-        SystemSpec::hybrid(8).with_adversarial_alignment().with_history(),
+        SystemSpec::hybrid(8).with_adversarial_alignment(),
     )
     .with_obs()
     .step_budget(1_000_000);
@@ -852,14 +853,14 @@ fn obs() {
     // 3. The same run captured and replayed from its decision script — a
     //    fresh kernel from the same scenario is the replay precondition.
     let trace = r.take_trace().expect("obs attached");
+    assert!(trace.events.iter().any(|e| matches!(e, ObsEvent::Stmt { .. })), "empty capture");
     let mut k = scen.kernel();
-    let steps = k.run(&mut trace.scripted(), scen.budget());
-    let replay = RunResult::from_kernel(k, steps, Duration::ZERO);
+    k.run(&mut trace.scripted(), scen.budget());
     println!(
         "  capture → replay: {} recorded events; history identical = {}, memory identical = {}",
         trace.events.len(),
-        replay.history() == r.history(),
-        replay.mem() == r.mem(),
+        k.obs() == Some(&trace),
+        &k.mem == r.mem(),
     );
     println!();
 }

@@ -116,8 +116,9 @@ impl Fig6 {
 /// staggered initial processes, then the late pairs, then `p_x`.
 fn run_branch(p: u32, c: u32, first_is_x: bool) -> BranchOutcome {
     let q = 2 * p - c;
-    let spec = SystemSpec::hybrid(q.max(1)).with_adversarial_alignment().with_history();
+    let spec = SystemSpec::hybrid(q.max(1)).with_adversarial_alignment();
     let mut k = Kernel::new(OMem { o: CConsensus::new(c) }, spec);
+    k.attach_obs();
 
     // Initial staggered processes p₁¹ … p₁^Q on processors 0..Q, inputs
     // 100+i. The branch point: in branch X, process on cpu 0 has input X
@@ -186,7 +187,7 @@ fn run_branch(p: u32, c: u32, first_is_x: bool) -> BranchOutcome {
     run_one(&mut k, px);
 
     BranchOutcome {
-        history: k.history().clone(),
+        history: k.history(),
         decided: k.mem.o.decided().expect("O decided"),
         px_returned: k.output(px).expect("p_x finished"),
         invocations_before_px,
@@ -252,8 +253,8 @@ mod tests {
     #[test]
     fn histories_are_recorded() {
         let f = construct(2, 2);
-        assert!(!f.x_branch.history.events.is_empty());
-        assert!(!f.y_branch.history.events.is_empty());
+        assert!(!f.x_branch.history.trace.events.is_empty());
+        assert!(!f.y_branch.history.trace.events.is_empty());
     }
 
     #[test]

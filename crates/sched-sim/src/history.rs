@@ -1,10 +1,11 @@
 //! Execution histories and the well-formedness checker.
 //!
-//! A history is the paper's `t0 -s0-> t1 -s1-> …` sequence, recorded as one
-//! [`Event`] per atomic statement (plus release events). The
-//! [`check_well_formed`] oracle revalidates, independently of the kernel's
-//! scheduling logic, that a history satisfies the paper's well-formedness
-//! condition (Sec. 2):
+//! A history is the paper's `t0 -s0-> t1 -s1-> …` sequence: the
+//! [`ObsEvent::Stmt`] events of a run's observability [`Trace`] (plus its
+//! release, crash and recover events), under a header of the kernel's
+//! process table. The [`check_well_formed`] oracle revalidates,
+//! independently of the kernel's scheduling logic, that a history satisfies
+//! the paper's well-formedness condition (Sec. 2):
 //!
 //! * **Axiom 1** — no statement executes while a higher-priority process on
 //!   the same processor is ready, and
@@ -16,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use crate::ids::{ProcessId, ProcessorId, Priority};
-use crate::sym::{Interner, Sym};
+use crate::obs::{ObsEvent, Trace};
 
 /// What a recorded statement did to its process's invocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,49 +28,6 @@ pub enum StmtEffect {
     InvocationEnd,
     /// The statement completed the process's final invocation.
     Finished,
-}
-
-/// One history entry.
-///
-/// The derived `==` on events compares statement labels as raw [`Sym`] ids,
-/// which is only meaningful between events of the *same* history (same
-/// symbol table). Whole-history comparison ([`History`]'s `==`) resolves
-/// labels through each side's table and is safe across histories.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind {
-    /// An atomic statement execution.
-    Stmt {
-        /// The statement's display label (e.g. `"3: w := P[i]"`), interned
-        /// in the owning history's [`History::syms`] table.
-        label: Sym,
-        /// Effect on the invocation.
-        effect: StmtEffect,
-        /// Output recorded at an invocation boundary, if any.
-        output: Option<u64>,
-    },
-    /// The process transitioned from held (ineligible) to ready.
-    Release,
-    /// The process crashed: its partial invocation was discarded and it is
-    /// ineligible until it recovers.
-    Crash,
-    /// The process recovered from a crash (ineligible → ready); its next
-    /// statement restarts the interrupted invocation from the beginning.
-    Recover,
-}
-
-/// A timestamped event of a history.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Global statement count at which the event occurred.
-    pub t: u64,
-    /// The process involved.
-    pub pid: ProcessId,
-    /// Its processor.
-    pub cpu: ProcessorId,
-    /// Its priority.
-    pub prio: Priority,
-    /// What happened.
-    pub kind: EventKind,
 }
 
 /// Static description of one process, recorded in the history header.
@@ -85,79 +43,24 @@ pub struct ProcInfo {
     pub held: bool,
 }
 
-/// A recorded execution history: a header describing the system plus the
-/// event sequence.
+/// An execution history: a header describing the system plus the run's
+/// observability [`Trace`], whose [`ObsEvent::Stmt`],
+/// [`ObsEvent::Release`], [`ObsEvent::Crash`] and [`ObsEvent::Recover`]
+/// events are the statement sequence (see
+/// [`Kernel::history`](crate::kernel::Kernel::history)).
 ///
-/// Histories compare with `==`, which is what replay tests use to assert
-/// that a re-executed schedule is *bit-identical* to the captured one
-/// (see [`crate::obs`]). Statement labels are resolved through each side's
-/// symbol table during comparison, so two histories with identical events
-/// but differently-populated tables still compare equal.
-#[derive(Clone, Debug, Default)]
+/// Histories compare with `==`, which resolves statement labels through
+/// each side's symbol table (see [`Trace`]'s `==`), so histories of
+/// separately recorded runs compare safely.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct History {
     /// The scheduling quantum `Q` the run was configured with.
     pub quantum: u32,
     /// Static process table.
     pub procs: Vec<ProcInfo>,
-    /// The event sequence, in execution order.
-    pub events: Vec<Event>,
-    /// Symbol table resolving the [`Sym`] labels of statement events.
-    pub syms: Interner,
+    /// The recorded events, in execution order.
+    pub trace: Trace,
 }
-
-impl History {
-    /// Iterates over the statement events only.
-    pub fn stmts(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(|e| matches!(e.kind, EventKind::Stmt { .. }))
-    }
-
-    /// Number of statements executed by `pid` in this history.
-    pub fn own_steps(&self, pid: ProcessId) -> u64 {
-        self.stmts().filter(|e| e.pid == pid).count() as u64
-    }
-
-    /// The display label of a statement event of *this* history (empty for
-    /// release events).
-    pub fn label_of(&self, e: &Event) -> &str {
-        match &e.kind {
-            EventKind::Stmt { label, .. } => self.syms.resolve(*label),
-            EventKind::Release | EventKind::Crash | EventKind::Recover => "",
-        }
-    }
-}
-
-/// Compares two events field by field, resolving statement labels through
-/// each side's symbol table.
-fn event_eq(a: &Event, b: &Event, a_syms: &Interner, b_syms: &Interner) -> bool {
-    if (a.t, a.pid, a.cpu, a.prio) != (b.t, b.pid, b.cpu, b.prio) {
-        return false;
-    }
-    match (&a.kind, &b.kind) {
-        (
-            EventKind::Stmt { label: la, effect: ea, output: oa },
-            EventKind::Stmt { label: lb, effect: eb, output: ob },
-        ) => ea == eb && oa == ob && a_syms.resolve(*la) == b_syms.resolve(*lb),
-        (EventKind::Release, EventKind::Release)
-        | (EventKind::Crash, EventKind::Crash)
-        | (EventKind::Recover, EventKind::Recover) => true,
-        _ => false,
-    }
-}
-
-impl PartialEq for History {
-    fn eq(&self, other: &Self) -> bool {
-        self.quantum == other.quantum
-            && self.procs == other.procs
-            && self.events.len() == other.events.len()
-            && self
-                .events
-                .iter()
-                .zip(&other.events)
-                .all(|(a, b)| event_eq(a, b, &self.syms, &other.syms))
-    }
-}
-
-impl Eq for History {}
 
 /// A violation of the well-formedness condition found by
 /// [`check_well_formed`].
@@ -214,8 +117,9 @@ enum PStatus {
 /// Replays `h` and returns the first well-formedness violation, if any.
 ///
 /// This checker is deliberately independent of the kernel's dispatch code:
-/// it reconstructs ready sets and quantum windows purely from the event
-/// stream, so it doubles as a regression oracle for the scheduler itself.
+/// it reconstructs ready sets and quantum windows purely from the header
+/// and the statement, release, crash and recover events, so it doubles as
+/// a regression oracle for the scheduler itself.
 ///
 /// # Errors
 ///
@@ -242,46 +146,46 @@ pub fn check_well_formed(h: &History) -> Result<(), Violation> {
     let mut windows: BTreeMap<(ProcessorId, Priority), Window> = Default::default();
     let mut ever_dispatched: BTreeMap<ProcessId, bool> = Default::default();
 
-    for ev in &h.events {
-        match &ev.kind {
-            EventKind::Release => {
-                status.insert(ev.pid, PStatus::Ready);
+    // Decision, window and preemption events are the kernel's own account
+    // of its dispatch, so they are not read.
+    for ev in &h.trace.events {
+        match *ev {
+            ObsEvent::Release { pid, .. } | ObsEvent::Recover { pid, .. } => {
+                status.insert(pid, PStatus::Ready);
             }
-            EventKind::Crash => {
+            ObsEvent::Crash { pid, .. } => {
                 // A crashed process is not ready (Axiom 1 no longer obliges
                 // its processor to run it), its partial invocation is
                 // discarded, and any window it holds ends.
-                status.insert(ev.pid, PStatus::Crashed);
-                mid_invocation.insert(ev.pid, false);
-                if let Some(w) = windows.get_mut(&(ev.cpu, ev.prio)) {
-                    if w.holder == ev.pid {
+                status.insert(pid, PStatus::Crashed);
+                mid_invocation.insert(pid, false);
+                let p = &by_pid[&pid];
+                if let Some(w) = windows.get_mut(&(p.cpu, p.prio)) {
+                    if w.holder == pid {
                         w.open = false;
                     }
                 }
             }
-            EventKind::Recover => {
-                status.insert(ev.pid, PStatus::Ready);
-            }
-            EventKind::Stmt { effect, .. } => {
+            ObsEvent::Stmt { t, pid, cpu, prio, effect, .. } => {
                 // Axiom 1: no ready higher-priority process on this cpu.
                 for (qid, info) in &by_pid {
-                    if info.cpu == ev.cpu
-                        && info.prio > ev.prio
+                    if info.cpu == cpu
+                        && info.prio > prio
                         && status.get(qid) == Some(&PStatus::Ready)
                     {
                         return Err(Violation::PriorityInversion {
-                            t: ev.t,
-                            running: ev.pid,
+                            t,
+                            running: pid,
                             ready_higher: *qid,
                         });
                     }
                 }
                 // Axiom 2: window accounting at (cpu, prio).
-                let key = (ev.cpu, ev.prio);
-                let first = !ever_dispatched.get(&ev.pid).copied().unwrap_or(false);
-                ever_dispatched.insert(ev.pid, true);
+                let key = (cpu, prio);
+                let first = !ever_dispatched.get(&pid).copied().unwrap_or(false);
+                ever_dispatched.insert(pid, true);
                 match windows.get_mut(&key) {
-                    Some(w) if w.open && w.holder == ev.pid => {
+                    Some(w) if w.open && w.holder == pid => {
                         w.count += 1;
                     }
                     Some(w) if w.open => {
@@ -293,44 +197,42 @@ pub fn check_well_formed(h: &History) -> Result<(), Violation> {
                             && status.get(&w.holder) == Some(&PStatus::Ready);
                         if victim_mid && !w.first && w.count < u64::from(h.quantum) {
                             return Err(Violation::QuantumViolation {
-                                t: ev.t,
+                                t,
                                 victim: w.holder,
-                                preemptor: ev.pid,
+                                preemptor: pid,
                                 executed: w.count,
                             });
                         }
-                        *w = Window { holder: ev.pid, count: 1, first, open: true };
+                        *w = Window { holder: pid, count: 1, first, open: true };
                     }
                     _ => {
-                        windows.insert(
-                            key,
-                            Window { holder: ev.pid, count: 1, first, open: true },
-                        );
+                        windows.insert(key, Window { holder: pid, count: 1, first, open: true });
                     }
                 }
                 match effect {
                     StmtEffect::Continue => {
-                        mid_invocation.insert(ev.pid, true);
+                        mid_invocation.insert(pid, true);
                     }
                     StmtEffect::InvocationEnd => {
-                        mid_invocation.insert(ev.pid, false);
+                        mid_invocation.insert(pid, false);
                         if let Some(w) = windows.get_mut(&key) {
-                            if w.holder == ev.pid {
+                            if w.holder == pid {
                                 w.open = false;
                             }
                         }
                     }
                     StmtEffect::Finished => {
-                        mid_invocation.insert(ev.pid, false);
-                        status.insert(ev.pid, PStatus::Finished);
+                        mid_invocation.insert(pid, false);
+                        status.insert(pid, PStatus::Finished);
                         if let Some(w) = windows.get_mut(&key) {
-                            if w.holder == ev.pid {
+                            if w.holder == pid {
                                 w.open = false;
                             }
                         }
                     }
                 }
             }
+            _ => {}
         }
     }
     Ok(())
@@ -339,6 +241,7 @@ pub fn check_well_formed(h: &History) -> Result<(), Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sym::Sym;
 
     fn info(pid: u32, cpu: u32, prio: u32) -> ProcInfo {
         ProcInfo {
@@ -349,18 +252,19 @@ mod tests {
         }
     }
 
-    fn stmt(t: u64, pid: u32, cpu: u32, prio: u32, effect: StmtEffect) -> Event {
-        Event {
+    fn stmt(t: u64, pid: u32, cpu: u32, prio: u32, effect: StmtEffect) -> ObsEvent {
+        ObsEvent::Stmt {
             t,
             pid: ProcessId(pid),
             cpu: ProcessorId(cpu),
             prio: Priority(prio),
-            kind: EventKind::Stmt { label: Sym::EMPTY, effect, output: None },
+            effect,
+            label: Sym::EMPTY,
         }
     }
 
-    fn hist(quantum: u32, procs: Vec<ProcInfo>, events: Vec<Event>) -> History {
-        History { quantum, procs, events, syms: Interner::new() }
+    fn hist(quantum: u32, procs: Vec<ProcInfo>, events: Vec<ObsEvent>) -> History {
+        History { quantum, procs, trace: Trace { events, ..Trace::default() } }
     }
 
     #[test]
@@ -395,13 +299,7 @@ mod tests {
         let mut hi = info(1, 0, 2);
         hi.held = true;
         let h = hist(4, vec![info(0, 0, 1), hi], vec![
-                Event {
-                    t: 0,
-                    pid: ProcessId(1),
-                    cpu: ProcessorId(0),
-                    prio: Priority(2),
-                    kind: EventKind::Release,
-                },
+                ObsEvent::Release { t: 0, pid: ProcessId(1) },
                 stmt(1, 0, 0, 1, StmtEffect::Continue),
             ]);
         assert!(matches!(
@@ -479,13 +377,7 @@ mod tests {
         }
         events.push(stmt(5, 0, 0, 1, StmtEffect::Continue)); // p0 second window
         // p2 at higher priority becomes ready via release and runs
-        events.push(Event {
-            t: 6,
-            pid: ProcessId(2),
-            cpu: ProcessorId(0),
-            prio: Priority(2),
-            kind: EventKind::Release,
-        });
+        events.push(ObsEvent::Release { t: 6, pid: ProcessId(2) });
         events.push(stmt(6, 2, 0, 2, StmtEffect::Finished));
         events.push(stmt(7, 1, 0, 1, StmtEffect::Continue)); // unlawful
         let mut p2 = info(2, 0, 2);
@@ -496,23 +388,17 @@ mod tests {
 
     #[test]
     fn crashed_higher_priority_process_is_not_ready() {
-        let ev = |kind, t: u64, pid: u32, prio: u32| Event {
-            t,
-            pid: ProcessId(pid),
-            cpu: ProcessorId(0),
-            prio: Priority(prio),
-            kind,
-        };
+        let p1 = ProcessId(1);
         // A crashed higher-priority process does not oblige its processor.
         let h = hist(4, vec![info(0, 0, 1), info(1, 0, 2)], vec![
-            ev(EventKind::Crash, 0, 1, 2),
+            ObsEvent::Crash { t: 0, pid: p1 },
             stmt(0, 0, 0, 1, StmtEffect::Continue),
         ]);
         assert_eq!(check_well_formed(&h), Ok(()));
         // After recovery it is ready again, so Axiom 1 applies.
         let h2 = hist(4, vec![info(0, 0, 1), info(1, 0, 2)], vec![
-            ev(EventKind::Crash, 0, 1, 2),
-            ev(EventKind::Recover, 1, 1, 2),
+            ObsEvent::Crash { t: 0, pid: p1 },
+            ObsEvent::Recover { t: 1, pid: p1 },
             stmt(1, 0, 0, 1, StmtEffect::Continue),
         ]);
         assert!(matches!(
@@ -525,13 +411,6 @@ mod tests {
     fn crash_closes_the_victims_window() {
         // p0 crashes 2 statements into its window; p1 stepping next is a
         // lawful switch, not a quantum violation.
-        let ev = |kind, t: u64, pid: u32| Event {
-            t,
-            pid: ProcessId(pid),
-            cpu: ProcessorId(0),
-            prio: Priority(1),
-            kind,
-        };
         let mut events = vec![
             // p0 exhausts a first window lawfully, p1 a full quantum, then
             // p0's SECOND window is cut short by a crash.
@@ -542,18 +421,9 @@ mod tests {
         }
         events.push(stmt(5, 0, 0, 1, StmtEffect::Continue));
         events.push(stmt(6, 0, 0, 1, StmtEffect::Continue));
-        events.push(ev(EventKind::Crash, 7, 0));
+        events.push(ObsEvent::Crash { t: 7, pid: ProcessId(0) });
         events.push(stmt(7, 1, 0, 1, StmtEffect::Continue));
         let h = hist(4, vec![info(0, 0, 1), info(1, 0, 1)], events);
         assert_eq!(check_well_formed(&h), Ok(()));
-    }
-
-    #[test]
-    fn own_steps_counts_statements() {
-        let h = hist(4, vec![info(0, 0, 1)], vec![
-                stmt(0, 0, 0, 1, StmtEffect::Continue),
-                stmt(1, 0, 0, 1, StmtEffect::Finished),
-            ]);
-        assert_eq!(h.own_steps(ProcessId(0)), 2);
     }
 }

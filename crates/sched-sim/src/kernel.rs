@@ -27,14 +27,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::decision::{Choice, Decider};
-use crate::history::{Event, EventKind, History, ProcInfo, StmtEffect};
+use crate::history::{History, ProcInfo, StmtEffect};
 use crate::ids::{ProcessId, ProcessorId, Priority};
 use crate::machine::{Footprint, StepCtx, StepMachine, StepOutcome};
 use crate::obs::{DecisionKind, ObsCounters, ObsEvent, Trace, WindowCloseReason};
 use crate::prof::Profile;
 use crate::smallvec::SmallVec;
 use crate::statehash::StateHasher;
-use crate::sym::{Interner, Sym};
+use crate::sym::Sym;
 
 /// How a process's first quantum window is sized.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,14 +60,12 @@ pub struct SystemSpec {
     pub quantum: u32,
     /// First-window sizing policy.
     pub first_credit: FirstCreditMode,
-    /// Whether to record a full [`History`] (costs allocation per step).
-    pub record_history: bool,
 }
 
 impl SystemSpec {
     /// A hybrid-scheduled system with quantum `q` and benign alignment.
     pub fn hybrid(q: u32) -> Self {
-        SystemSpec { quantum: q, first_credit: FirstCreditMode::Aligned, record_history: false }
+        SystemSpec { quantum: q, first_credit: FirstCreditMode::Aligned }
     }
 
     /// A *pure priority-scheduled* system: the quantum is zero, so
@@ -76,7 +74,7 @@ impl SystemSpec {
     /// be correct here when every priority level holds at most one process
     /// (the classical priority-scheduled model of Ramamurthy et al.).
     pub fn pure_priority() -> Self {
-        SystemSpec { quantum: 0, first_credit: FirstCreditMode::Aligned, record_history: false }
+        SystemSpec { quantum: 0, first_credit: FirstCreditMode::Aligned }
     }
 
     /// A *pure quantum-scheduled* system with quantum `q`: hybrid
@@ -89,12 +87,6 @@ impl SystemSpec {
     /// Enables adversarial first-window sizing.
     pub fn with_adversarial_alignment(mut self) -> Self {
         self.first_credit = FirstCreditMode::Adversarial;
-        self
-    }
-
-    /// Enables history recording.
-    pub fn with_history(mut self) -> Self {
-        self.record_history = true;
         self
     }
 }
@@ -230,6 +222,8 @@ struct ProcEntry<M> {
     pid: ProcessId,
     cpu: ProcessorId,
     prio: Priority,
+    /// Added held (the [`History`] header's `held`).
+    held: bool,
     machine: Slot<M>,
     status: Status,
     /// Mid-invocation: executed a `Continue` statement more recently than
@@ -332,11 +326,6 @@ pub struct StepReport {
     pub prio: Priority,
     /// The statement's outcome.
     pub outcome: StepOutcome,
-    /// The statement's display label, interned in the kernel's history
-    /// symbol table ([`History::syms`]). Labels are recorded only while a
-    /// history or an observability trace is attached; otherwise this is
-    /// [`Sym::EMPTY`].
-    pub label: Sym,
 }
 
 /// Result of attempting one kernel step with a (possibly partial) choice
@@ -391,6 +380,15 @@ pub enum StepAttempt {
 /// assert_eq!((steps, k.mem), (3, 3));
 /// ```
 pub struct Kernel<M> {
+    /// Completed invocations, Arc-backed so cloning a kernel (the
+    /// explorer's fork) shares them: a fork copies the records only when a
+    /// branch completes another invocation, and then only O(completed) of
+    /// them. Declared first so that a dropped kernel frees the log and its
+    /// small `Arc` header before everything else: freed last, the header
+    /// sits between a service shard's big blocks and keeps glibc's heap
+    /// from returning them to the OS (glibc 2.36, x86-64: the service
+    /// benchmark's peak RSS rose from 110 to 176 MiB).
+    ops: Arc<Vec<OpRecord>>,
     /// The shared memory, openly accessible to oracles and constructors.
     pub mem: M,
     quantum: u32,
@@ -401,18 +399,8 @@ pub struct Kernel<M> {
     /// practice).
     cpus: Vec<Cpu>,
     clock: u64,
-    record_history: bool,
-    /// Arc-backed so cloning a kernel (the explorer's fork) shares the
-    /// event log; copy-on-write via [`Arc::make_mut`] at each push. With
-    /// recording off (the explorer case) the log never grows, so forks
-    /// share one allocation forever.
-    history: Arc<History>,
-    /// Completed invocations, Arc-backed like `history`: a fork copies the
-    /// records only when a branch completes another invocation, and then
-    /// only O(completed) of them.
-    ops: Arc<Vec<OpRecord>>,
-    /// Attached observability trace ([`crate::obs`]); `None` means no
-    /// event is ever constructed.
+    /// Attached observability trace ([`crate::obs`]), the kernel's only
+    /// event log; `None` means no event is ever constructed.
     obs: Option<Trace>,
     /// Attached streaming profiler ([`crate::prof`]); like `obs`, `None`
     /// means the step loop constructs no events on its account.
@@ -497,6 +485,7 @@ impl<M: Clone> Clone for Kernel<M> {
                     pid: p.pid,
                     cpu: p.cpu,
                     prio: p.prio,
+                    held: p.held,
                     machine: p.machine.clone(),
                     status: p.status,
                     mid_invocation: p.mid_invocation,
@@ -513,8 +502,6 @@ impl<M: Clone> Clone for Kernel<M> {
                 .collect(),
             cpus: self.cpus.clone(),
             clock: self.clock,
-            record_history: self.record_history,
-            history: Arc::clone(&self.history),
             ops: Arc::clone(&self.ops),
             obs: self.obs.clone(),
             prof: self.prof.clone(),
@@ -541,13 +528,6 @@ impl<M> Kernel<M> {
             procs: Vec::new(),
             cpus: Vec::new(),
             clock: 0,
-            record_history: spec.record_history,
-            history: Arc::new(History {
-                quantum: spec.quantum,
-                procs: Vec::new(),
-                events: Vec::new(),
-                syms: Interner::new(),
-            }),
             ops: Arc::new(Vec::new()),
             obs: None,
             prof: None,
@@ -598,6 +578,7 @@ impl<M> Kernel<M> {
             pid,
             cpu,
             prio,
+            held,
             machine: if self.track_hash {
                 Slot::Shared(Arc::from(machine))
             } else {
@@ -623,7 +604,6 @@ impl<M> Kernel<M> {
         if self.track_hash {
             self.rebuild_hash();
         }
-        Arc::make_mut(&mut self.history).procs.push(ProcInfo { pid, cpu, prio, held });
         pid
     }
 
@@ -646,17 +626,6 @@ impl<M> Kernel<M> {
         self.counters.releases += 1;
         if self.observing() {
             self.emit(ObsEvent::Release { t: self.clock, pid });
-        }
-        let p = &self.procs[pid.index()];
-        if self.record_history {
-            let (cpu, prio) = (p.cpu, p.prio);
-            Arc::make_mut(&mut self.history).events.push(Event {
-                t: self.clock,
-                pid,
-                cpu,
-                prio,
-                kind: EventKind::Release,
-            });
         }
     }
 
@@ -753,15 +722,6 @@ impl<M> Kernel<M> {
                 });
             }
         }
-        if self.record_history {
-            Arc::make_mut(&mut self.history).events.push(Event {
-                t,
-                pid,
-                cpu,
-                prio,
-                kind: EventKind::Crash,
-            });
-        }
         if self.track_hash {
             self.refresh_hash(idx);
         }
@@ -781,17 +741,6 @@ impl<M> Kernel<M> {
         self.counters.recoveries += 1;
         if self.observing() {
             self.emit(ObsEvent::Recover { t: self.clock, pid });
-        }
-        if self.record_history {
-            let p = &self.procs[idx];
-            let (cpu, prio) = (p.cpu, p.prio);
-            Arc::make_mut(&mut self.history).events.push(Event {
-                t: self.clock,
-                pid,
-                cpu,
-                prio,
-                kind: EventKind::Recover,
-            });
         }
         if self.track_hash {
             self.refresh_hash(idx);
@@ -875,9 +824,19 @@ impl<M> Kernel<M> {
         self.procs[pid.index()].stats
     }
 
-    /// The recorded history (empty unless the spec enabled recording).
-    pub fn history(&self) -> &History {
-        &self.history
+    /// The run's [`History`]: the process table plus the attached
+    /// trace's events (none unless a trace was attached with
+    /// [`Kernel::attach_obs`] before the run).
+    pub fn history(&self) -> History {
+        History {
+            quantum: self.quantum,
+            procs: self
+                .procs
+                .iter()
+                .map(|p| ProcInfo { pid: p.pid, cpu: p.cpu, prio: p.prio, held: p.held })
+                .collect(),
+            trace: self.obs.clone().unwrap_or_default(),
+        }
     }
 
     /// Attaches a fresh observability [`Trace`]: subsequent steps emit
@@ -956,7 +915,7 @@ impl<M> Kernel<M> {
     }
 
     /// Gives this kernel private copies of everything it shares with the
-    /// kernel it was forked from: the event log, the op records, every
+    /// kernel it was forked from: the op records, every
     /// machine and crash snapshot, and (through
     /// [`StepMachine::box_clone_unshared`]) what machines share with
     /// their clones. Afterwards forking, stepping and dropping it and its
@@ -964,7 +923,6 @@ impl<M> Kernel<M> {
     /// parallel explorer calls this on every subtree root a worker adopts
     /// from another worker; the state is unchanged.
     pub(crate) fn unshare(&mut self) {
-        self.history = Arc::new(History::clone(&self.history));
         self.ops = Arc::new(Vec::clone(&self.ops));
         for p in &mut self.procs {
             p.machine.unshare();
@@ -1236,12 +1194,11 @@ impl<M> Kernel<M> {
                 self.emit(ObsEvent::InvStart { t, pid, inv_index });
             }
         }
-        // Labels are interned into the history's symbol table while a
-        // recorder is attached; otherwise the discarding context makes the
-        // whole label path a no-op (and allocation-free).
-        let (outcome, label) = if self.record_history || self.obs.is_some() {
-            let syms = &mut Arc::make_mut(&mut self.history).syms;
-            let mut ctx = StepCtx::recording(pid, syms);
+        // Labels are interned into the attached trace's symbol table;
+        // without a trace the discarding context makes the whole label
+        // path a no-op (and allocation-free).
+        let (outcome, label) = if let Some(tr) = self.obs.as_mut() {
+            let mut ctx = StepCtx::recording(pid, &mut tr.syms);
             // Split borrow: machine vs memory.
             let outcome = self.procs[idx].machine.make_mut().step(&mut self.mem, &mut ctx);
             (outcome, ctx.take_label().unwrap_or(Sym::EMPTY))
@@ -1317,11 +1274,6 @@ impl<M> Kernel<M> {
             let inv_index =
                 if effect != StmtEffect::Continue { self.procs[idx].machine_inv_index() } else { 0 };
             self.emit(ObsEvent::Stmt { t, pid, cpu, prio, effect, label });
-            // Keep the trace's symbol table a superset of the labels it
-            // holds, so a detached trace is always self-contained.
-            if let Some(tr) = self.obs.as_mut() {
-                tr.syms.sync_from(&self.history.syms);
-            }
             if effect != StmtEffect::Continue {
                 self.emit(ObsEvent::InvEnd { t, pid, inv_index, output });
             }
@@ -1329,20 +1281,11 @@ impl<M> Kernel<M> {
                 self.emit(ObsEvent::WindowClose { t, cpu, prio, holder: pid, reason });
             }
         }
-        if self.record_history {
-            Arc::make_mut(&mut self.history).events.push(Event {
-                t,
-                pid,
-                cpu,
-                prio,
-                kind: EventKind::Stmt { label, effect, output },
-            });
-        }
         if self.track_hash {
             // Only the stepping process and its cpu's windows changed.
             self.refresh_hash(idx);
         }
-        StepAttempt::Stepped(StepReport { t, pid, cpu, prio, outcome, label })
+        StepAttempt::Stepped(StepReport { t, pid, cpu, prio, outcome })
     }
 
     /// Executes one atomic statement, resolving decisions via `decider`.
@@ -1759,7 +1702,8 @@ mod tests {
     fn window_survives_higher_priority_preemption() {
         // Axiom 2: hi's arrival must not let the other equal-priority
         // process slip in before lo finishes its quantum.
-        let mut k = Kernel::new(Vec::new(), SystemSpec::hybrid(4).with_history());
+        let mut k = Kernel::new(Vec::new(), SystemSpec::hybrid(4));
+        k.attach_obs();
         let _a = k.add_process(ProcessorId(0), Priority(1), logger(1, 4, 1));
         let _b = k.add_process(ProcessorId(0), Priority(1), logger(2, 4, 1));
         let hi = k.add_held_process(ProcessorId(0), Priority(2), logger(9, 2, 1));
@@ -1769,7 +1713,7 @@ mod tests {
         k.run(&mut d, 100);
         // hi runs, then a RESUMES its window (3 more stmts) before b.
         assert_eq!(k.mem, vec![1, 9, 9, 1, 1, 1, 2, 2, 2, 2]);
-        assert_eq!(check_well_formed(k.history()), Ok(()));
+        assert_eq!(check_well_formed(&k.history()), Ok(()));
     }
 
     #[test]
@@ -1820,10 +1764,8 @@ mod tests {
 
     #[test]
     fn adversarial_first_credit_allows_early_preemption() {
-        let mut k = Kernel::new(
-            Vec::new(),
-            SystemSpec::hybrid(4).with_adversarial_alignment().with_history(),
-        );
+        let mut k = Kernel::new(Vec::new(), SystemSpec::hybrid(4).with_adversarial_alignment());
+        k.attach_obs();
         k.add_process(ProcessorId(0), Priority(1), logger(1, 4, 1));
         k.add_process(ProcessorId(0), Priority(1), logger(2, 4, 1));
         // holder choice 0 (p0), first-credit choice 0 (credit 1), then
@@ -1832,16 +1774,14 @@ mod tests {
         k.run(&mut d, 100);
         assert_eq!(&k.mem[..5], &[1, 2, 2, 2, 2]);
         // The short first window is lawful per the model.
-        assert_eq!(check_well_formed(k.history()), Ok(()));
+        assert_eq!(check_well_formed(&k.history()), Ok(()));
     }
 
     #[test]
     fn histories_from_random_runs_are_well_formed() {
         for seed in 0..30 {
-            let mut k = Kernel::new(
-                Vec::new(),
-                SystemSpec::hybrid(3).with_adversarial_alignment().with_history(),
-            );
+            let mut k = Kernel::new(Vec::new(), SystemSpec::hybrid(3).with_adversarial_alignment());
+            k.attach_obs();
             k.add_process(ProcessorId(0), Priority(1), logger(1, 5, 2));
             k.add_process(ProcessorId(0), Priority(1), logger(2, 5, 2));
             k.add_process(ProcessorId(0), Priority(2), logger(3, 4, 1));
@@ -1849,7 +1789,7 @@ mod tests {
             let mut d = SeededRandom::new(seed);
             k.run(&mut d, 10_000);
             assert!(k.all_finished());
-            check_well_formed(k.history()).unwrap_or_else(|v| {
+            check_well_formed(&k.history()).unwrap_or_else(|v| {
                 panic!("seed {seed}: ill-formed history: {v}");
             });
         }
@@ -2026,7 +1966,6 @@ mod tests {
 
         let mut u = k.clone();
         u.unshare();
-        assert_eq!(Arc::strong_count(&u.history), 1);
         assert_eq!(Arc::strong_count(&u.ops), 1);
         for p in &u.procs {
             for slot in std::iter::once(&p.machine).chain(p.inv_snapshot.as_ref()) {

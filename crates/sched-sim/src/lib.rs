@@ -17,8 +17,8 @@
 //! * [`decision::Decider`] — all scheduling nondeterminism in one trait:
 //!   fair round-robin, seeded random, scripted, and (elsewhere) the
 //!   adversaries of the lower-bound proofs.
-//! * [`history`] — recorded histories plus an independent well-formedness
-//!   checker for the two axioms.
+//! * [`history`] — histories (a view of the [`obs`] trace) plus an
+//!   independent well-formedness checker for the two axioms.
 //! * [`trace`] — interleaving diagrams in the style of the paper's
 //!   Figs. 1–2.
 //! * [`explore`] — exhaustive schedule enumeration (bounded model

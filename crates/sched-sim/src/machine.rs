@@ -90,10 +90,10 @@ pub enum StepOutcome {
 /// Where a [`StepCtx`] sends labels.
 #[derive(Debug)]
 enum LabelSink<'a> {
-    /// Labels are dropped without any work: no recorder (history or trace)
-    /// is attached, so the step path does zero label processing.
+    /// Labels are dropped without any work: no trace is attached, so the
+    /// step path does zero label processing.
     Discard,
-    /// Labels are interned into the kernel's symbol table.
+    /// Labels are interned into the attached trace's symbol table.
     Intern(&'a mut Interner),
     /// Labels are interned into a table owned by the context itself — used
     /// by [`StepCtx::new`] so machines can be driven directly in tests.
@@ -103,7 +103,7 @@ enum LabelSink<'a> {
 /// Context handed to a machine for each statement execution.
 ///
 /// The machine uses it to learn its own identity and to label the statement
-/// for history recording and trace rendering. Labels are interned (see
+/// for the observability trace. Labels are interned (see
 /// [`crate::sym`]): the context carries a [`Sym`], not a `String`, and when
 /// nothing records labels the whole path is a no-op.
 #[derive(Debug)]
@@ -130,14 +130,15 @@ impl StepCtx<'static> {
 }
 
 impl<'a> StepCtx<'a> {
-    /// A context that interns labels into `syms` (the kernel's table).
+    /// A context that interns labels into `syms` (the attached trace's
+    /// table).
     pub(crate) fn recording(pid: ProcessId, syms: &'a mut Interner) -> Self {
         StepCtx { pid, label: None, sink: LabelSink::Intern(syms) }
     }
 
     /// Labels the statement being executed (e.g. `"3: w := P[i]"`).
-    /// The label appears in histories and rendered traces. When neither a
-    /// history nor a trace is recording, this is a no-op.
+    /// The label appears in the observability trace. When no trace is
+    /// attached, this is a no-op.
     pub fn label(&mut self, s: impl AsRef<str>) {
         match &mut self.sink {
             LabelSink::Discard => {}

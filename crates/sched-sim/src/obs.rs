@@ -33,7 +33,8 @@
 //! use sched_sim::machine::{FnMachine, StepOutcome};
 //!
 //! let build = || {
-//!     let mut k = Kernel::new(0u64, SystemSpec::hybrid(2).with_history());
+//!     let mut k = Kernel::new(0u64, SystemSpec::hybrid(2));
+//!     k.attach_obs();
 //!     for _ in 0..2 {
 //!         k.add_process(ProcessorId(0), Priority(1), Box::new(FnMachine::new(
 //!             |mem: &mut u64, calls| {
@@ -46,15 +47,14 @@
 //! };
 //! // Capture a seeded-random run.
 //! let mut k = build();
-//! k.attach_obs();
 //! k.run(&mut SeededRandom::new(7), 100);
 //! let trace = k.take_obs().unwrap();
 //!
-//! // Serialize, reload, replay: the history is bit-identical.
+//! // Serialize, reload, replay: the replay's trace is bit-identical.
 //! let reloaded = sched_sim::obs::Trace::from_text(&trace.to_text()).unwrap();
 //! let mut r = build();
 //! r.run(&mut reloaded.scripted(), 100);
-//! assert_eq!(r.history(), k.history());
+//! assert_eq!(r.obs(), Some(&trace));
 //! assert_eq!(r.mem, k.mem);
 //! ```
 
@@ -329,8 +329,8 @@ pub struct Trace {
     /// The captured events, in execution order.
     pub events: Vec<ObsEvent>,
     /// Symbol table resolving the [`Sym`] labels of statement events. The
-    /// kernel keeps it synced with its master table after every statement,
-    /// so a detached trace is always self-contained.
+    /// kernel interns labels straight into it, so a detached trace is
+    /// always self-contained.
     pub syms: Interner,
 }
 
@@ -384,7 +384,7 @@ impl Trace {
 
     /// Converts the capture into a strict [`Scripted`] decider that replays
     /// the recorded schedule. Driving an *identically constructed* kernel
-    /// with it re-executes the run bit-identically (same history, same
+    /// with it re-executes the run bit-identically (same trace, same
     /// final memory, same outputs); the strict decider panics if the replay
     /// ever diverges (a decision point the capture never saw).
     pub fn scripted(&self) -> Scripted {

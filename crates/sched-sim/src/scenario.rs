@@ -7,10 +7,11 @@
 //! under a step budget, then pick outputs, counters, and statistics back
 //! out of the kernel. A `Scenario` captures that wiring once, declaratively:
 //!
-//! * the [`SystemSpec`] (quantum, first-window policy, history recording),
+//! * the [`SystemSpec`] (quantum, first-window policy),
 //! * the shared memory's initial state,
 //! * the process table (processor, priority, machine, held/ready),
-//! * whether to capture an observability [`Trace`],
+//! * whether to capture an observability [`Trace`] (which also carries the
+//!   run's [`History`]),
 //! * the run-to-completion step budget.
 //!
 //! Because a scenario owns its *initial* state rather than a live kernel,
@@ -354,8 +355,9 @@ impl<M> RunResult<M> {
         self.kernel
     }
 
-    /// The recorded history (empty unless the spec enabled recording).
-    pub fn history(&self) -> &History {
+    /// The run's history (see [`Kernel::history`]): no events unless the
+    /// scenario ran [`Scenario::with_obs`] and the trace is still attached.
+    pub fn history(&self) -> History {
         self.kernel.history()
     }
 

@@ -3,7 +3,7 @@
 //! Every executed statement used to clone its display label (a heap
 //! `String`) into the history and the observability trace, making label
 //! handling the dominant per-statement allocation. Labels now live in an
-//! [`Interner`] — a per-kernel symbol table mapping each distinct label
+//! [`Interner`] — each trace's own symbol table, mapping each distinct label
 //! string to a small [`Sym`] id — and events carry the `Copy` id instead.
 //! Strings are materialised only at serialization boundaries
 //! ([`crate::obs::Trace::to_text`] and friends) by resolving the id.
@@ -12,14 +12,15 @@
 //! numbered lines of the paper's figures), so the table stays tiny while
 //! executions run to millions of statements: after the first occurrence of
 //! each label, the per-statement cost is a hash lookup and a 4-byte copy.
-//! Shared-table strings are `Arc<str>`, so cloning an interner for a
-//! detached trace or history is O(distinct labels), not O(text).
+//! Shared-table strings are `Arc<str>`, so cloning an interner (with a
+//! forked kernel's trace, or into a history) is O(distinct labels), not
+//! O(text).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An interned label: a `Copy` id valid for the [`Interner`] that produced
-/// it (and any interner synced from it via [`Interner::sync_from`]).
+/// it (and its clones).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(u32);
 
@@ -37,8 +38,7 @@ impl Sym {
 /// A symbol table: distinct label strings, densely numbered by [`Sym`].
 ///
 /// Every table starts with `""` at [`Sym::EMPTY`]. Tables only grow, so a
-/// table extended from another (see [`Interner::sync_from`]) resolves every
-/// id the original ever handed out.
+/// table resolves every id it ever handed out.
 #[derive(Clone, Debug)]
 pub struct Interner {
     names: Vec<Arc<str>>,
@@ -76,8 +76,7 @@ impl Interner {
     ///
     /// # Panics
     ///
-    /// Panics if `sym` did not come from this table (or one it was synced
-    /// from).
+    /// Panics if `sym` did not come from this table.
     pub fn resolve(&self, sym: Sym) -> &str {
         &self.names[sym.index()]
     }
@@ -90,25 +89,6 @@ impl Interner {
     /// Whether the table holds only the empty label.
     pub fn is_empty(&self) -> bool {
         self.names.len() == 1
-    }
-
-    /// Extends this table with the tail of `other`, which must be an
-    /// extension of this table (same strings at every shared index). Used
-    /// to keep a detached trace's table in sync with its kernel's: a no-op
-    /// when the lengths already match.
-    pub fn sync_from(&mut self, other: &Interner) {
-        if self.names.len() >= other.names.len() {
-            return;
-        }
-        debug_assert!(
-            self.names.iter().zip(&other.names).all(|(a, b)| a == b),
-            "sync_from of an unrelated interner"
-        );
-        for name in &other.names[self.names.len()..] {
-            let sym = Sym(self.names.len() as u32);
-            self.names.push(name.clone());
-            self.map.insert(name.clone(), sym);
-        }
     }
 }
 
@@ -143,20 +123,5 @@ mod tests {
         assert_eq!(i.len(), 3);
         assert_eq!(i.resolve(a), "1: v := val");
         assert_eq!(i.resolve(b), "2: return");
-    }
-
-    #[test]
-    fn sync_from_extends_prefix() {
-        let mut master = Interner::new();
-        let a = master.intern("a");
-        let mut copy = master.clone();
-        let b = master.intern("b");
-        copy.sync_from(&master);
-        assert_eq!(copy.resolve(a), "a");
-        assert_eq!(copy.resolve(b), "b");
-        assert_eq!(copy, master);
-        // Syncing again is a no-op.
-        copy.sync_from(&master);
-        assert_eq!(copy.len(), master.len());
     }
 }

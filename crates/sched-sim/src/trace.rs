@@ -19,8 +19,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::history::{EventKind, History, StmtEffect};
+use crate::history::{History, StmtEffect};
 use crate::ids::ProcessId;
+use crate::obs::ObsEvent;
 
 /// Rendering options for [`render`].
 #[derive(Clone, Copy, Debug)]
@@ -45,8 +46,9 @@ impl Default for TraceStyle {
 /// where the highest-priority process `r` is drawn on top), one column per
 /// global statement.
 pub fn render(history: &History, style: TraceStyle) -> String {
-    let n_cols = (history.events.iter().filter(|e| matches!(e.kind, EventKind::Stmt { .. })).count())
-        .min(style.max_cols);
+    let events = &history.trace.events;
+    let n_cols =
+        events.iter().filter(|e| matches!(e, ObsEvent::Stmt { .. })).count().min(style.max_cols);
     // Per process per column: what happened.
     #[derive(Clone, Copy, PartialEq)]
     enum Cell {
@@ -65,18 +67,18 @@ pub fn render(history: &History, style: TraceStyle) -> String {
     let mut mid: BTreeMap<ProcessId, bool> = Default::default();
 
     let mut col = 0usize;
-    for ev in &history.events {
-        let EventKind::Stmt { effect, .. } = &ev.kind else { continue };
+    for ev in events {
+        let &ObsEvent::Stmt { pid: stepper, effect, .. } = ev else { continue };
         if col >= n_cols {
             break;
         }
         // Mark mid-invocation processes as waiting in this column.
         for (pid, is_mid) in &mid {
-            if *is_mid && *pid != ev.pid {
+            if *is_mid && *pid != stepper {
                 rows.get_mut(pid).expect("known pid")[col] = Cell::Waiting;
             }
         }
-        let was_mid = mid.get(&ev.pid).copied().unwrap_or(false);
+        let was_mid = mid.get(&stepper).copied().unwrap_or(false);
         let ends = !matches!(effect, StmtEffect::Continue);
         let cell = match (was_mid, ends) {
             (false, false) => Cell::Begin,
@@ -84,8 +86,8 @@ pub fn render(history: &History, style: TraceStyle) -> String {
             (true, false) => Cell::Exec,
             (true, true) => Cell::End,
         };
-        rows.get_mut(&ev.pid).expect("known pid")[col] = cell;
-        mid.insert(ev.pid, !ends);
+        rows.get_mut(&stepper).expect("known pid")[col] = cell;
+        mid.insert(stepper, !ends);
         col += 1;
     }
 
@@ -124,16 +126,18 @@ pub fn render(history: &History, style: TraceStyle) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{Event, ProcInfo};
+    use crate::history::ProcInfo;
     use crate::ids::{ProcessorId, Priority};
+    use crate::obs::Trace;
 
-    fn stmt(t: u64, pid: u32, effect: StmtEffect) -> Event {
-        Event {
+    fn stmt(t: u64, pid: u32, effect: StmtEffect) -> ObsEvent {
+        ObsEvent::Stmt {
             t,
             pid: ProcessId(pid),
             cpu: ProcessorId(0),
             prio: Priority(1),
-            kind: EventKind::Stmt { label: crate::sym::Sym::EMPTY, effect, output: None },
+            effect,
+            label: crate::sym::Sym::EMPTY,
         }
     }
 
@@ -154,14 +158,16 @@ mod tests {
                     held: false,
                 },
             ],
-            events: vec![
-                stmt(0, 0, StmtEffect::Continue),
-                stmt(1, 0, StmtEffect::Continue),
-                stmt(2, 1, StmtEffect::Continue),
-                stmt(3, 1, StmtEffect::Finished),
-                stmt(4, 0, StmtEffect::Finished),
-            ],
-            syms: crate::sym::Interner::new(),
+            trace: Trace {
+                events: vec![
+                    stmt(0, 0, StmtEffect::Continue),
+                    stmt(1, 0, StmtEffect::Continue),
+                    stmt(2, 1, StmtEffect::Continue),
+                    stmt(3, 1, StmtEffect::Finished),
+                    stmt(4, 0, StmtEffect::Finished),
+                ],
+                ..Trace::default()
+            },
         }
     }
 
@@ -191,8 +197,7 @@ mod tests {
     #[test]
     fn truncates_long_histories() {
         let mut h = two_proc_history();
-        let many: Vec<Event> = (0..500).map(|t| stmt(t, 0, StmtEffect::Continue)).collect();
-        h.events = many;
+        h.trace.events = (0..500).map(|t| stmt(t, 0, StmtEffect::Continue)).collect();
         let s = render(&h, TraceStyle { quantum_ruler: false, max_cols: 10 });
         assert!(s.lines().next().unwrap().ends_with('…'));
     }

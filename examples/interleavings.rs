@@ -36,19 +36,22 @@ fn worker(len: u32, invocations: u32) -> Box<dyn sched_sim::StepMachine<()>> {
 fn main() {
     println!("Fig. 1(a) — quantum-based: three equal-priority processes, Q = 3");
     println!("(invocations in brackets; '.' = preempted mid-invocation)\n");
-    let mut k = Kernel::new((), SystemSpec::pure_quantum(3).with_history());
+    let mut k = Kernel::new((), SystemSpec::pure_quantum(3));
+    k.attach_obs();
     for _ in 0..3 {
         k.add_process(ProcessorId(0), Priority(1), worker(5, 2));
     }
     k.run(&mut RoundRobin::new(), 1_000);
-    print!("{}", render(k.history(), TraceStyle { quantum_ruler: false, max_cols: 120 }));
+    let h = k.history();
+    print!("{}", render(&h, TraceStyle { quantum_ruler: false, max_cols: 120 }));
 
     println!("\nFig. 2 — the same run with quantum boundaries made visible:\n");
-    print!("{}", render(k.history(), TraceStyle { quantum_ruler: true, max_cols: 120 }));
+    print!("{}", render(&h, TraceStyle { quantum_ruler: true, max_cols: 120 }));
 
     println!("\nFig. 1(b) — priority-based: r > q > p; a preemptor runs to completion");
     println!("before the preempted process resumes:\n");
-    let mut k = Kernel::new((), SystemSpec::pure_priority().with_history());
+    let mut k = Kernel::new((), SystemSpec::pure_priority());
+    k.attach_obs();
     let _p = k.add_process(ProcessorId(0), Priority(1), worker(6, 2));
     let q = k.add_held_process(ProcessorId(0), Priority(2), worker(4, 2));
     let r = k.add_held_process(ProcessorId(0), Priority(3), worker(3, 1));
@@ -63,7 +66,7 @@ fn main() {
     }
     k.release(r);
     k.run(&mut d, 1_000);
-    print!("{}", render(k.history(), TraceStyle::default()));
+    print!("{}", render(&k.history(), TraceStyle::default()));
     println!(
         "\nIn (b), when p resumes, every invocation of the higher-priority q and r\n\
          has completed — their operations appear atomic to p 'for free'."

@@ -12,8 +12,10 @@ use sched_sim::prelude::{ProcessorId, Priority, Scenario, SystemSpec};
 
 fn main() {
     // A hybrid-scheduled uniprocessor with quantum Q = 8 statements.
-    let spec = SystemSpec::hybrid(MIN_QUANTUM).with_history();
-    let mut scenario = Scenario::new(UniConsensusMem::default(), spec).step_budget(10_000);
+    // The observability trace records the history checked below.
+    let spec = SystemSpec::hybrid(MIN_QUANTUM);
+    let mut scenario =
+        Scenario::new(UniConsensusMem::default(), spec).with_obs().step_budget(10_000);
 
     // Five processes at three priority levels, each proposing a value.
     let proposals = [(10u64, 1u32), (20, 1), (30, 2), (40, 2), (50, 3)];
@@ -38,7 +40,7 @@ fn main() {
 
     let decision = result.agreed_output().expect("agreement");
     assert!(proposals.iter().any(|&(v, _)| v == decision), "validity");
-    check_well_formed(result.history()).expect("history satisfies Axioms 1 and 2");
+    check_well_formed(&result.history()).expect("history satisfies Axioms 1 and 2");
     println!("\nagreement ✓  validity ✓  wait-free ({} own-statements max) ✓", result.max_own_steps());
     println!("history is well-formed w.r.t. the paper's Axiom 1 (priority) and Axiom 2 (quantum)");
 }

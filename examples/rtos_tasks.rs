@@ -45,10 +45,7 @@ fn main() {
         (2, producer_ops(&[900])),                // watchdog event
         (3, consumer_ops(5)),                     // control loop
     ];
-    let mut k = Kernel::new(
-        UniversalMem::<QueueSpec>::new(n, 64),
-        SystemSpec::hybrid(8).with_history(),
-    );
+    let mut k = Kernel::new(UniversalMem::<QueueSpec>::new(n, 64), SystemSpec::hybrid(8));
     for (pid, (prio, ops)) in plans.iter().enumerate() {
         k.add_process(
             ProcessorId(0),

@@ -40,6 +40,15 @@ done
 # missing or extra trace).
 diff -r "$run_dir/tests/golden/fuzz" tests/golden/fuzz
 
+echo "== every example binary, stdout byte for byte =="
+# The examples assert as they print (quickstart's well-formedness check,
+# lowerbound_demo's contradiction, cas_object's linearizability), so a
+# run both exercises those checks and pins the rendered diagrams.
+for golden in tests/golden/examples/*.txt; do
+    bin="$(basename "$golden" .txt)"
+    "target/release/$bin" | cmp - "$golden"
+done
+
 echo "== offline profiling of both committed fuzz counterexamples =="
 # Also exercises the Perfetto exporter byte-pinned by
 # tests/tests/perfetto_golden.rs.

@@ -1,6 +1,7 @@
 //! The PR 3 zero-allocation contract, enforced by a counting allocator:
-//! with history recording, observability, and profiling all off, the
-//! kernel's steady-state step loop performs **no heap allocation at all**.
+//! with observability (the trace, which also carries the history) and
+//! profiling off, the kernel's steady-state step loop performs **no heap
+//! allocation at all**.
 //!
 //! This is the acceptance criterion for the allocation-free step path:
 //! labels are discarded without materialisation (`StepCtx` in discarding

@@ -13,7 +13,7 @@ use hybrid_wf::oracle::{check_linearizable, check_linearizable_traced, SeqSpec, 
 use hybrid_wf::universal::{op_machine, CounterSpec, UniversalMem};
 use lowerbound::adversary::{fig7_scenario, MaxPreempt};
 use sched_sim::machine::{FnMachine, StepOutcome};
-use sched_sim::obs::Trace;
+use sched_sim::obs::{ObsEvent, Trace};
 use sched_sim::rng::SplitMix64;
 use sched_sim::{ProcessorId, Priority, Scenario, SystemSpec};
 use wfmem::Val;
@@ -23,7 +23,7 @@ use wfmem::Val;
 fn counter_scenario(n: u32, per: u32, q: u32) -> Scenario<UniversalMem<CounterSpec>> {
     let mut s = Scenario::new(
         UniversalMem::<CounterSpec>::new(n, 4 * (n * per) as usize + 4),
-        SystemSpec::hybrid(q).with_adversarial_alignment().with_history(),
+        SystemSpec::hybrid(q).with_adversarial_alignment(),
     )
     .with_obs()
     .step_budget(1_000_000);
@@ -37,8 +37,18 @@ fn counter_scenario(n: u32, per: u32, q: u32) -> Scenario<UniversalMem<CounterSp
     s
 }
 
+/// Asserts that a replay re-recorded `captured` exactly, and that the
+/// comparison is not vacuous: the capture holds statements.
+fn assert_same_trace(replay: Option<&Trace>, captured: &Trace, ctx: &str) {
+    assert!(
+        captured.events.iter().any(|e| matches!(e, ObsEvent::Stmt { .. })),
+        "{ctx}: the capture holds no statement"
+    );
+    assert_eq!(replay, Some(captured), "{ctx}: replay diverged");
+}
+
 /// Capture → replay across many random seeds and shapes: the replayed
-/// history and the final shared memory are bit-identical to the recording.
+/// trace and the final shared memory are bit-identical to the recording.
 #[test]
 fn seeded_random_runs_replay_bit_identical() {
     let mut gen = SplitMix64::new(0x0b5_0b5);
@@ -55,18 +65,15 @@ fn seeded_random_runs_replay_bit_identical() {
 
         let mut r = s.kernel();
         r.run(&mut trace.scripted(), s.budget());
-        assert_eq!(
-            r.history(),
-            captured.history(),
-            "case {case}: seed={seed} n={n} per={per} q={q}"
-        );
+        let ctx = format!("case {case}: seed={seed} n={n} per={per} q={q}");
+        assert_same_trace(r.obs(), &trace, &ctx);
         assert_eq!(&r.mem, captured.mem(), "case {case}: final memory diverged");
         assert_eq!(r.counters(), captured.counters, "case {case}: counters diverged");
     }
 }
 
 /// The text serialization is lossless: a trace that goes to text and back
-/// still replays to the identical history.
+/// still replays to the identical trace.
 #[test]
 fn replay_survives_text_round_trip() {
     let s = counter_scenario(3, 2, 4);
@@ -80,7 +87,7 @@ fn replay_survives_text_round_trip() {
 
     let mut r = s.kernel();
     r.run(&mut reloaded.scripted(), s.budget());
-    assert_eq!(r.history(), captured.history());
+    assert_same_trace(r.obs(), &trace, "text round trip");
     assert_eq!(&r.mem, captured.mem());
 }
 
@@ -99,6 +106,7 @@ fn adversary_run_replays_bit_identical() {
         let steps = r.run(&mut trace.scripted(), s.budget());
         let replay = sched_sim::RunResult::from_kernel(r, steps, std::time::Duration::ZERO);
         assert!(replay.all_finished, "seed {seed} replay");
+        assert_same_trace(replay.trace(), &trace, &format!("seed {seed}"));
         assert_eq!(replay.outputs, captured.outputs, "seed {seed}");
         assert_eq!(replay.counters, captured.counters, "seed {seed}");
     }
@@ -151,7 +159,7 @@ fn racy_scenario() -> Scenario<RacyMem> {
     // always separable.
     let mut s = Scenario::new(
         (0u64, vec![0u64; 2]),
-        SystemSpec::hybrid(1).with_adversarial_alignment().with_history(),
+        SystemSpec::hybrid(1).with_adversarial_alignment(),
     )
     .with_obs()
     .step_budget(10_000);
@@ -169,7 +177,7 @@ fn timed_fai_ops(ops: &[sched_sim::kernel::OpRecord]) -> Vec<TimedOp<()>> {
 
 /// A failing linearizability check dumps a trace artifact; reloading that
 /// artifact from disk and replaying it reproduces the identical failing
-/// history — the debugging loop the observability layer exists for.
+/// trace — the debugging loop the observability layer exists for.
 #[test]
 fn dumped_failing_oracle_trace_reproduces_failure() {
     let s = racy_scenario();
@@ -186,11 +194,11 @@ fn dumped_failing_oracle_trace_reproduces_failure() {
             "racy-fai-regression",
         );
         if let Err(e) = err {
-            failing = Some((seed, captured, e));
+            failing = Some((seed, captured, trace, e));
             break;
         }
     }
-    let (seed, captured, err) =
+    let (seed, captured, trace, err) =
         failing.expect("Q = 1 must admit a lost update within 100 seeds");
 
     // The error carries the artifact path; the artifact round-trips.
@@ -201,12 +209,12 @@ fn dumped_failing_oracle_trace_reproduces_failure() {
     let text = std::fs::read_to_string(path).expect("artifact readable");
     let reloaded = Trace::from_text(&text).expect("artifact parses");
 
-    // Replaying the artifact reproduces the same failing history, and the
+    // Replaying the artifact reproduces the same failing trace, and the
     // oracle rejects it again.
     let mut r = s.kernel();
     r.run(&mut reloaded.scripted(), s.budget());
     assert!(r.all_finished());
-    assert_eq!(r.history(), captured.history(), "seed {seed}: replay diverged");
+    assert_same_trace(r.obs(), &trace, &format!("seed {seed}"));
     assert_eq!(&r.mem, captured.mem());
     assert!(
         check_linearizable(&FaiSpec, &timed_fai_ops(r.ops())).is_err(),

@@ -15,16 +15,17 @@ const INIT: u64 = 100;
 fn scheduler_matrix() -> Vec<(&'static str, SystemSpec, Vec<u32>)> {
     vec![
         // (label, spec, priorities for 4 processes)
-        ("hybrid", SystemSpec::hybrid(128).with_history(), vec![1, 1, 2, 2]),
-        ("pure-quantum", SystemSpec::pure_quantum(128).with_history(), vec![1, 1, 1, 1]),
-        ("pure-priority", SystemSpec::pure_priority().with_history(), vec![1, 2, 3, 4]),
+        ("hybrid", SystemSpec::hybrid(128), vec![1, 1, 2, 2]),
+        ("pure-quantum", SystemSpec::pure_quantum(128), vec![1, 1, 1, 1]),
+        ("pure-priority", SystemSpec::pure_priority(), vec![1, 2, 3, 4]),
     ]
 }
 
 #[test]
 fn fig3_consensus_correct_under_all_schedulers() {
     for (label, spec, prios) in scheduler_matrix() {
-        let mut s = Scenario::new(UniConsensusMem::default(), spec).step_budget(100_000);
+        let mut s =
+            Scenario::new(UniConsensusMem::default(), spec).with_obs().step_budget(100_000);
         for (i, &pr) in prios.iter().enumerate() {
             s.add_process(
                 ProcessorId(0),
@@ -40,7 +41,7 @@ fn fig3_consensus_correct_under_all_schedulers() {
                 assert_eq!(*out, Some(first), "{label} seed {seed} p{p}");
             }
             assert!((1..=4).contains(&first), "{label}: invalid {first}");
-            check_well_formed(r.history())
+            check_well_formed(&r.history())
                 .unwrap_or_else(|v| panic!("{label} seed {seed}: {v}"));
         }
     }
@@ -57,7 +58,9 @@ fn fig5_cas_linearizable_under_all_schedulers() {
     for (label, spec, prios) in scheduler_matrix() {
         let v = *prios.iter().max().unwrap();
         let n = prios.len() as u32;
-        let mut s = Scenario::new(CasMem::new(v, &prios, INIT), spec).step_budget(1_000_000);
+        let mut s = Scenario::new(CasMem::new(v, &prios, INIT), spec)
+            .with_obs()
+            .step_budget(1_000_000);
         for (pid, ops) in plans.iter().enumerate() {
             s.add_process(
                 ProcessorId(0),
@@ -83,7 +86,7 @@ fn fig5_cas_linearizable_under_all_schedulers() {
                 .collect();
             check_linearizable(&CasRegisterSpec { init: INIT }, &timed)
                 .unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
-            check_well_formed(r.history())
+            check_well_formed(&r.history())
                 .unwrap_or_else(|v| panic!("{label} seed {seed}: {v}"));
         }
     }

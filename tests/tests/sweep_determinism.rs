@@ -12,7 +12,7 @@ use hybrid_wf::multi::failures::{lemma3_bound_holds, summarize};
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use hybrid_wf::universal::{op_machine, CounterSpec, UniversalMem};
 use lowerbound::adversary::{adversary_for_seed, fig7_scenario};
-use sched_sim::obs::{ObsCounters, Trace};
+use sched_sim::obs::{ObsCounters, ObsEvent, Trace};
 use sched_sim::sweep::{cross, run_cells};
 use sched_sim::{ProcessorId, Priority, Scenario, SystemSpec};
 
@@ -110,7 +110,7 @@ fn fig3_seeded_trace_is_byte_identical_to_golden() {
 
     let mut s = Scenario::new(
         UniConsensusMem::default(),
-        SystemSpec::hybrid(MIN_QUANTUM).with_adversarial_alignment().with_history(),
+        SystemSpec::hybrid(MIN_QUANTUM).with_adversarial_alignment(),
     )
     .with_obs()
     .step_budget(10_000);
@@ -120,6 +120,7 @@ fn fig3_seeded_trace_is_byte_identical_to_golden() {
     assert!(r.all_finished);
 
     let trace = r.take_trace().expect("obs was attached");
+    assert!(trace.events.iter().any(|e| matches!(e, ObsEvent::Stmt { .. })), "empty capture");
     let text = trace.to_text();
     assert_eq!(text, GOLDEN, "seeded Fig. 3 trace diverged from the golden capture");
 
