@@ -59,7 +59,7 @@ use sched_sim::scenario::{RunResult, Scenario};
 use sched_sim::service::{Arrival, ChurnSpec, Service, ServiceSpec};
 use sched_sim::sweep::run_cells;
 
-use crate::fuzz::Family;
+use crate::fuzz::{agreement_validity, require_finished, Family};
 
 /// The noise levels of the grid, as `num / den` per-step perturbation
 /// probabilities: off (the pure seeded-uniform base), light, and heavy.
@@ -262,21 +262,6 @@ fn report<M: Clone>(r: &RunResult<M>, violation: Option<String>) -> CrashReport 
         crashes: r.counters.crashes,
         recoveries: r.counters.recoveries,
         violation,
-    }
-}
-
-fn require_finished<M: Clone>(r: &RunResult<M>) -> Option<String> {
-    (!r.all_finished)
-        .then(|| format!("not all processes finished within the {}-step budget", r.steps))
-}
-
-fn agreement_validity<M: Clone>(r: &RunResult<M>, inputs: &[Val]) -> Option<String> {
-    match r.agreed_output() {
-        None => Some(format!("disagreement across recovery: outputs {:?}", r.outputs)),
-        Some(v) if !inputs.contains(&v) => {
-            Some(format!("invalid decision {v}: not among proposals {inputs:?}"))
-        }
-        Some(_) => None,
     }
 }
 

@@ -550,12 +550,12 @@ impl<M: Clone> CaseEngine for TypedEngine<M> {
     }
 }
 
-fn require_finished<M: Clone>(r: &RunResult<M>) -> Option<String> {
+pub(crate) fn require_finished<M: Clone>(r: &RunResult<M>) -> Option<String> {
     (!r.all_finished)
-        .then(|| format!("not all processes finished within the {}–step budget", r.steps))
+        .then(|| format!("not all processes finished within the {}-step budget", r.steps))
 }
 
-fn agreement_validity<M: Clone>(r: &RunResult<M>, inputs: &[Val]) -> Option<String> {
+pub(crate) fn agreement_validity<M: Clone>(r: &RunResult<M>, inputs: &[Val]) -> Option<String> {
     match r.agreed_output() {
         None => Some(format!("disagreement: outputs {:?}", r.outputs)),
         Some(v) if !inputs.contains(&v) => {

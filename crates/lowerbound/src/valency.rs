@@ -81,11 +81,6 @@ fn decisions_counting_jobs<M: Clone + Hash + Send>(
     out.into_inner().expect("valence set poisoned")
 }
 
-/// Whether the state is bivalent (at least two reachable decisions).
-pub fn is_bivalent<M: Clone + Hash>(k: &Kernel<M>, bounds: ExploreBounds) -> bool {
-    reachable_decisions(k, bounds).len() >= 2
-}
-
 /// Searches for a chain of bivalent states of the given `depth`: from each
 /// bivalent state, tries every one-statement successor (over all scheduler
 /// choices) and descends into one that is still bivalent.

@@ -34,12 +34,13 @@
 //!
 //! Crate tour:
 //!
-//! * [`cells`] — `#[repr(align(64))]` padded atomic cells (register, C&S,
-//!   first-wins consensus) and the const-generic striped counter the
-//!   accounting runs on.
+//! * [`cells`] — the `#[repr(align(64))]` cache-line padding, the `⊥`
+//!   sentinel and the const-generic striped counter the accounting runs
+//!   on.
 //! * [`backend`] — [`backend::NativeBackend`]: the `MemBackend`
-//!   implementation, free and lockstep pacing, and the deterministic
-//!   statement scheduler.
+//!   implementation with its padded atomic cells (register, C&S,
+//!   first-wins consensus), free and lockstep pacing, and the
+//!   deterministic statement scheduler.
 //! * [`harness`] — thread-per-process workload runners emitting
 //!   `OpRecord`s stamped by a global ticket clock (free) or the lockstep
 //!   grants (lockstep), plus oracle bridges.

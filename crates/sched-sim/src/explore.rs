@@ -695,37 +695,6 @@ where
     }
 }
 
-/// [`check_all_schedules`] over [`explore_parallel`]. On a violating
-/// configuration the *reported* counterexample may differ between runs
-/// (whichever worker trips first); whether a violation exists does not.
-///
-/// # Errors
-///
-/// Returns `Err` with a failing terminal state's message.
-pub fn check_all_schedules_parallel<M, F>(
-    kernel: &Kernel<M>,
-    bounds: ExploreBounds,
-    jobs: usize,
-    property: F,
-) -> Result<ExploreStats, String>
-where
-    M: Clone + Hash + Send,
-    F: Fn(&Kernel<M>) -> Option<String> + Sync,
-{
-    let failure: Mutex<Option<String>> = Mutex::new(None);
-    let stats = explore_parallel(kernel, bounds, jobs, |k| match property(k) {
-        None => Verdict::KeepGoing,
-        Some(msg) => {
-            failure.lock().expect("failure slot poisoned").get_or_insert(msg);
-            Verdict::Stop
-        }
-    });
-    match failure.into_inner().expect("failure slot poisoned") {
-        Some(msg) => Err(msg),
-        None => Ok(stats),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

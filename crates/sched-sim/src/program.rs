@@ -105,16 +105,6 @@ pub struct Program<L, M> {
 }
 
 impl<L, M> Program<L, M> {
-    /// The name of procedure `p`.
-    pub fn proc_name(&self, p: ProcRef) -> &str {
-        &self.procs[p.0].name
-    }
-
-    /// Number of statements in procedure `p`.
-    pub fn proc_len(&self, p: ProcRef) -> usize {
-        self.procs[p.0].stmts.len()
-    }
-
     /// The union of every statement's declared footprint (the whole-program
     /// may-footprint). [`Footprint::Unknown`] if any statement left its
     /// footprint undeclared.

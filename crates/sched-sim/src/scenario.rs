@@ -163,17 +163,6 @@ impl<M> Scenario<M> {
         self
     }
 
-    /// Chainable [`Scenario::add_held_process`].
-    pub fn held_process(
-        mut self,
-        cpu: ProcessorId,
-        prio: Priority,
-        machine: Box<dyn StepMachine<M>>,
-    ) -> Self {
-        self.add_held_process(cpu, prio, machine);
-        self
-    }
-
     /// Captures an observability [`Trace`] on every run (the kernel is
     /// built with [`Kernel::attach_obs`]; the capture lands in
     /// [`RunResult::take_trace`]).
@@ -212,19 +201,6 @@ impl<M> Scenario<M> {
     pub fn recover_at(mut self, t: u64, pid: ProcessId) -> Self {
         self.recovers.push((t, pid));
         self
-    }
-
-    /// Non-chainable [`Scenario::crash_at`]/[`Scenario::recover_at`]: one
-    /// crash-and-restart cycle for `pid` (crash at `t_crash`, recovery at
-    /// `t_recover`).
-    pub fn add_crash_cycle(&mut self, pid: ProcessId, t_crash: u64, t_recover: u64) {
-        self.crashes.push((t_crash, pid));
-        self.recovers.push((t_recover, pid));
-    }
-
-    /// Whether any lifecycle (crash/recovery) events are scheduled.
-    pub fn has_lifecycle(&self) -> bool {
-        !self.crashes.is_empty() || !self.recovers.is_empty()
     }
 
     /// The configured step budget.

@@ -11,11 +11,11 @@
 //! and a first-wins consensus cell), expressed through `&self` methods so
 //! the same algorithm text can be instantiated over
 //!
-//! * [`SimBackend`] (this module) — single-threaded, deterministic,
-//!   invocation-accounted wrappers around [`Reg`], [`ModeledCas`] and
-//!   [`LocalConsensus`]; every access is counted as one atomic statement,
-//!   so step-complexity claims (e.g. Fig. 3's eight statements per
-//!   `decide`) stay auditable, and
+//! * [`SimBackend`] (this module) — single-threaded, deterministic
+//!   cells (a plain word for the register and the C&S, a
+//!   [`LocalConsensus`] for the consensus cell); every access is counted
+//!   as one atomic statement, so step-complexity claims (e.g. Fig. 3's
+//!   eight statements per `decide`) stay auditable, and
 //! * the `native` crate's backends — cache-line-padded
 //!   `std::sync::atomic` cells driven by real OS threads, either *free*
 //!   (whatever interleaving the hardware and the commodity scheduler
@@ -64,7 +64,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use crate::{LocalConsensus, ModeledCas, OptVal, Reg, Val};
+use crate::{LocalConsensus, OptVal, Val};
 
 /// An atomic read/write register holding a value or `⊥`.
 ///
@@ -83,7 +83,7 @@ pub trait RegCell {
 /// An atomic compare-and-swap word.
 ///
 /// The consensus-number-∞ primitive real multiprocessors offer; backends
-/// map it either to [`ModeledCas`] (simulator) or to a hardware
+/// map it either to a plain word (simulator) or to a hardware
 /// `compare_exchange` (native).
 pub trait CasCell {
     /// Atomically: if the word equals `old`, set it to `new` and return
@@ -140,10 +140,6 @@ pub trait MemBackend {
     /// Cell accesses call this internally; algorithms call it directly
     /// only for counted *local* statements (Fig. 3's statement 1).
     fn step(&self);
-
-    /// A short human-readable backend name for reports (`"sim"`,
-    /// `"native-free"`, `"native-lockstep"`).
-    fn name(&self) -> &'static str;
 }
 
 // ---------------------------------------------------------------------------
@@ -163,12 +159,10 @@ impl SimInner {
 
 /// The deterministic single-threaded backend over the simulator cells.
 ///
-/// Cells wrap [`Reg`], [`ModeledCas`] and [`LocalConsensus`], keeping
-/// their per-cell invocation accounting, and additionally count every
-/// access (and every explicit [`step`](MemBackend::step)) into a shared
-/// statement counter — [`steps`](SimBackend::steps) — so backend-generic
-/// algorithms remain step-auditable exactly like their statement-level
-/// counterparts.
+/// Cells count every access (and every explicit
+/// [`step`](MemBackend::step)) into one statement counter per backend —
+/// [`steps`](SimBackend::steps) — so backend-generic algorithms remain
+/// step-auditable exactly like their statement-level counterparts.
 ///
 /// This backend is `!Send` by construction (cells share an [`Rc`]): a
 /// backend-generic algorithm runs on it sequentially, in program order,
@@ -204,57 +198,45 @@ impl SimBackend {
     }
 }
 
-/// [`SimBackend`]'s register cell (a step-counted [`Reg<OptVal>`]).
+/// [`SimBackend`]'s register cell.
 #[derive(Debug)]
 pub struct SimReg {
     hook: Rc<SimInner>,
-    cell: RefCell<Reg<OptVal>>,
+    value: Cell<OptVal>,
 }
 
 impl RegCell for SimReg {
     fn read(&self) -> OptVal {
         self.hook.bump();
-        self.cell.borrow_mut().read()
+        self.value.get()
     }
 
     fn write(&self, v: Val) {
         self.hook.bump();
-        self.cell.borrow_mut().write(Some(v));
+        self.value.set(Some(v));
     }
 }
 
-impl SimReg {
-    /// Counted reads and writes of this cell (accounting audit hook).
-    pub fn accesses(&self) -> (u64, u64) {
-        let c = self.cell.borrow();
-        (c.reads(), c.writes())
-    }
-}
-
-/// [`SimBackend`]'s compare-and-swap cell (a step-counted [`ModeledCas`]).
+/// [`SimBackend`]'s compare-and-swap cell.
 #[derive(Debug)]
 pub struct SimCas {
     hook: Rc<SimInner>,
-    cell: RefCell<ModeledCas>,
+    value: Cell<Val>,
 }
 
 impl CasCell for SimCas {
     fn cas(&self, old: Val, new: Val) -> bool {
         self.hook.bump();
-        self.cell.borrow_mut().cas(old, new)
+        let hit = self.value.get() == old;
+        if hit {
+            self.value.set(new);
+        }
+        hit
     }
 
     fn read(&self) -> Val {
         self.hook.bump();
-        self.cell.borrow().read()
-    }
-}
-
-impl SimCas {
-    /// `(invocations, successes)` of the underlying [`ModeledCas`].
-    pub fn accesses(&self) -> (u64, u64) {
-        let c = self.cell.borrow();
-        (c.invocations(), c.successes())
+        self.value.get()
     }
 }
 
@@ -277,24 +259,17 @@ impl ConsCell for SimCons {
     }
 }
 
-impl SimCons {
-    /// `decide` invocations of the underlying [`LocalConsensus`].
-    pub fn invocations(&self) -> u32 {
-        self.cell.borrow().invocations()
-    }
-}
-
 impl MemBackend for SimBackend {
     type Reg = SimReg;
     type Cas = SimCas;
     type Cons = SimCons;
 
     fn reg(&self) -> SimReg {
-        SimReg { hook: self.inner.clone(), cell: RefCell::new(Reg::new(None)) }
+        SimReg { hook: self.inner.clone(), value: Cell::new(None) }
     }
 
     fn cas(&self, init: Val) -> SimCas {
-        SimCas { hook: self.inner.clone(), cell: RefCell::new(ModeledCas::new(init)) }
+        SimCas { hook: self.inner.clone(), value: Cell::new(init) }
     }
 
     fn cons(&self) -> SimCons {
@@ -303,72 +278,5 @@ impl MemBackend for SimBackend {
 
     fn step(&self) {
         self.inner.bump();
-    }
-
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_access_counts_one_step() {
-        let b = SimBackend::new();
-        let r = b.reg();
-        let w = b.cas(0);
-        let c = b.cons();
-        r.write(1); // 1
-        r.read(); // 2
-        w.cas(0, 5); // 3
-        w.read(); // 4
-        c.decide(9); // 5
-        c.read(); // 6
-        b.step(); // 7: a counted local statement
-        assert_eq!(b.steps(), 7);
-    }
-
-    #[test]
-    fn reg_initially_bottom() {
-        let b = SimBackend::new();
-        let r = b.reg();
-        assert_eq!(r.read(), None);
-        r.write(3);
-        assert_eq!(r.read(), Some(3));
-        assert_eq!(r.accesses(), (2, 1));
-    }
-
-    #[test]
-    fn cas_cell_matches_modeled_semantics() {
-        let b = SimBackend::new();
-        let w = b.cas(2);
-        assert!(!w.cas(0, 1));
-        assert!(w.cas(2, 7));
-        assert_eq!(w.read(), 7);
-        assert_eq!(w.accesses(), (2, 1));
-    }
-
-    #[test]
-    fn cons_cell_first_wins() {
-        let b = SimBackend::new();
-        let c = b.cons();
-        assert_eq!(c.read(), None);
-        assert_eq!(c.decide(4), 4);
-        assert_eq!(c.decide(6), 4);
-        assert_eq!(c.read(), Some(4));
-        assert_eq!(c.invocations(), 2);
-    }
-
-    #[test]
-    fn cells_share_one_counter_per_backend() {
-        let a = SimBackend::new();
-        let b = SimBackend::new();
-        a.reg().write(1);
-        b.reg().write(1);
-        b.reg().read();
-        assert_eq!(a.steps(), 1);
-        assert_eq!(b.steps(), 2);
     }
 }

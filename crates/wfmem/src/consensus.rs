@@ -83,8 +83,8 @@ impl CConsensus {
 /// `local-consensus` to elect at most one port owner. `LocalConsensus`
 /// models that implemented object as one atomic statement; the
 /// `hybrid-wf::uni::consensus` module provides the actual Fig. 3
-/// read/write implementation, and the two are interchangeable (an ablation
-/// exercised by the test suite).
+/// read/write implementation, and the two are interchangeable (the
+/// `LocalMode` ablation in `hybrid-wf::multi::consensus`).
 ///
 /// Unlike [`CConsensus`] there is no invocation cap: the read/write
 /// implementation works for any number of processes *on one processor*.

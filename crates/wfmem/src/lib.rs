@@ -4,20 +4,22 @@
 //! "Wait-Free Synchronization in Multiprogrammed Systems: Integrating
 //! Priority-Based and Quantum-Based Scheduling" (PODC 1999) are built from:
 //!
-//! * [`Reg`] — an atomic read/write register with access accounting,
 //! * [`CConsensus`] — an object with consensus number exactly `C` in
 //!   Herlihy's wait-free hierarchy, modeled by the paper's own convention:
 //!   the first `C` invocations agree on the first proposed value, and every
 //!   invocation after the `C`-th returns `⊥` (modeled as [`None`]),
-//! * [`LocalConsensus`], [`ModeledCas`], [`ModeledFai`] — *modeled-atomic*
-//!   uniprocessor objects. The paper proves (Theorems 1 and 2, plus the
-//!   quantum-based algorithms of Anderson, Jain & Ott) that these can be
-//!   implemented from reads and writes on a hybrid-scheduled uniprocessor;
-//!   the modeled versions let higher-level algorithms treat them as a single
-//!   atomic statement, while the `hybrid-wf` crate also provides the fully
-//!   expanded read/write implementations.
+//! * [`LocalConsensus`] — the *modeled-atomic* uniprocessor consensus
+//!   object. The paper proves (Theorem 1) that it can be implemented from
+//!   reads and writes on a hybrid-scheduled uniprocessor; the modeled
+//!   version lets Fig. 7 treat it as a single atomic statement, while the
+//!   `hybrid-wf` crate also provides the fully expanded read/write
+//!   implementation.
 //!
-//! All objects count their invocations so experiments can audit step and
+//! Read/write registers and Fig. 7's local C&S/F&I are single statements
+//! on plain [`Val`]/[`OptVal`] fields of the statement-level machines'
+//! memory, so they need no object type here.
+//!
+//! Both objects count their invocations so experiments can audit step and
 //! space complexity claims: the port discipline of the Fig. 7 algorithm
 //! (never invoke a level's `C`-consensus object more than `C` times) and
 //! the access-failure accounting of Lemmas 2/3 are both checked against
@@ -34,8 +36,8 @@
 //! cell vocabulary (register / C&S / consensus cell plus a process-local
 //! step hook) that lets the Fig. 3 and universal-construction algorithms
 //! in `hybrid-wf::generic` be written once and instantiated both on
-//! [`SimBackend`] (deterministic, step-counted, built from the cells
-//! above) and on the `native` crate's cache-padded atomic backends. The
+//! [`SimBackend`] (deterministic, single-threaded, step-counted) and on
+//! the `native` crate's cache-padded atomic backends. The
 //! capped [`CConsensus`] has no backend cell: Fig. 7 (`C < ∞`) runs on the
 //! simulator only. See `BACKENDS.md` at the repository root for the trait
 //! contract and the per-backend guarantees.
@@ -57,13 +59,9 @@
 
 pub mod backend;
 mod consensus;
-mod modeled;
-mod reg;
 
 pub use backend::{CasCell, ConsCell, MemBackend, RegCell, SimBackend};
 pub use consensus::{CConsensus, LocalConsensus};
-pub use modeled::{ModeledCas, ModeledFai};
-pub use reg::Reg;
 
 /// The value domain used by the algorithm implementations.
 ///

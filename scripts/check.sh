@@ -26,6 +26,12 @@ RUSTFLAGS="-D warnings" cargo test -q
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
+echo "== perfbench builds against this tree (lockfile unchanged) =="
+# The repo benchmark is its own workspace over these crates; --locked
+# fails rather than rewrite perfbench/Cargo.lock, and the build writes
+# only to the gitignored perfbench/target/.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== every grid (experiments --jobs 4) + byte-for-byte artifact gates =="
 run_dir="target/grid-run"
 rm -rf "$run_dir" && mkdir -p "$run_dir"
