@@ -84,12 +84,6 @@ impl PortLayout {
         (port - 1) / self.ports_per_level(cpu) + 1
     }
 
-    /// Upper bound on port numbers including the `+M` overshoot slack
-    /// (the paper's `Port : 1..2L + M`).
-    pub fn max_port(&self, cpu: u32) -> u32 {
-        self.ports_per_level(cpu) * self.l + self.m
-    }
-
     /// Total ports per level across all processors — always `C`, so a
     /// level's `C`-consensus object is never exhausted by port holders.
     pub fn total_ports_per_level(&self) -> u32 {

@@ -76,9 +76,6 @@ pub struct QcsScratch {
     pub attempts: u32,
 }
 
-/// The number of counted statements in one unpreempted `Q-C&S` attempt.
-pub const STATEMENTS_PER_QCS_ATTEMPT: u32 = 4;
-
 /// Appends a `Q-C&S` procedure operating on a word selected by `word`,
 /// with announce variable selected by `announce`.
 ///

@@ -62,7 +62,9 @@ use hybrid_wf::multi::ports::PortLayout;
 use hybrid_wf::uni::cas::{op_machine as cas_machine, CasMem, CasOp};
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use hybrid_wf::universal::{op_machine as universal_machine, CounterSpec, UniversalMem};
-use lowerbound::adversary::{adversary_for_seed, fig7_scenario};
+use lowerbound::adversary::{
+    adversary_for_seed, fig7_scenario, probe, Probe, TABLE1_QS, TABLE1_SEEDS,
+};
 use lowerbound::valency::bivalent_chain_depth;
 use lowerbound::{crash, explore_grid, fig6, fuzz, native, profile, service};
 use sched_sim::decision::RoundRobin;
@@ -677,53 +679,11 @@ fn thm3() {
 fn valency() {
     println!("── Fig. 10: bivalent chain depth (Fig. 3 consensus, 2 procs) ──");
     for q in [1u32, 2, 4, 8] {
-        let k = Scenario::new(
-            UniConsensusMem::default(),
-            SystemSpec::hybrid(q).with_adversarial_alignment(),
-        )
-        .process(ProcessorId(0), Priority(1), Box::new(decide_machine(1)))
-        .process(ProcessorId(0), Priority(1), Box::new(decide_machine(2)))
-        .into_kernel();
+        let k = explore_grid::fig3_kernel(q, &[1, 2]);
         let d = bivalent_chain_depth(&k, 16, ExploreBounds::default());
         println!("    Q = {q}: adversary sustains bivalence for {d} statements (of 16 total)");
     }
     println!();
-}
-
-/// The Q axis of the Table 1 grid: every quantum probed at every (P, C).
-/// The measured thresholds all sit well inside `1..=8`; 12 and 16 confirm
-/// stability above the knee.
-const TABLE1_QS: [u32; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16];
-const TABLE1_SEEDS: u64 = 60;
-
-/// One probe of the Table 1 grid: does Fig. 7 at (p, c, q) survive all
-/// adversary seeds? Early-exits on the first failing seed.
-struct Probe {
-    q: u32,
-    ok: bool,
-    seeds_run: u64,
-    fail_seed: Option<u64>,
-    steps: u64,
-    wall: Duration,
-}
-
-fn probe_cell(p: u32, c: u32, q: u32) -> Probe {
-    let m = 3;
-    let scenario = fig7_scenario(p, c, m, 1, q, LocalMode::Modeled);
-    let mut steps = 0u64;
-    let mut wall = Duration::ZERO;
-    for seed in 0..TABLE1_SEEDS {
-        let r = scenario.run(&mut *adversary_for_seed(seed));
-        steps += r.steps;
-        wall += r.wall;
-        let ok = r.agreed_output().is_some()
-            && lemma3_bound_holds(r.mem())
-            && !summarize(r.mem()).clean_levels.is_empty();
-        if !ok {
-            return Probe { q, ok: false, seeds_run: seed + 1, fail_seed: Some(seed), steps, wall };
-        }
-    }
-    Probe { q, ok: true, seeds_run: TABLE1_SEEDS, fail_seed: None, steps, wall }
 }
 
 /// The headline: Table 1, swept in parallel over the (P, C) cells; each
@@ -743,11 +703,11 @@ fn table1(jobs: usize) -> Vec<Json> {
         }
     }
     let probed: Vec<Vec<Probe>> = run_cells(&pcs, jobs, |_, &(p, c)| {
-        TABLE1_QS.iter().map(|&q| probe_cell(p, c, q)).collect()
+        TABLE1_QS.iter().map(|&q| probe(p, c, 3, 1, q, TABLE1_SEEDS)).collect()
     });
     let mut lines = Vec::new();
     for (&(p, c), probes) in pcs.iter().zip(&probed) {
-        let min_q = probes.iter().find(|pr| pr.ok).map(|pr| pr.q);
+        let min_q = probes.iter().find(|pr| pr.ok()).map(|pr| pr.q);
         let measured = min_q.map_or_else(|| format!(">{}", TABLE1_QS[9]), |q| q.to_string());
         let shape = if c >= 2 * p { "c".to_string() } else { format!("c·{}", 2 * p + 1 - c) };
         let lower = 1u32.max(2u32.saturating_mul(p).saturating_sub(c));
@@ -777,7 +737,7 @@ fn table1(jobs: usize) -> Vec<Json> {
                 ])),
                 ("steps", Json::from(pr.steps)),
                 ("wall_ms", Json::from(wall_ms(pr.wall))),
-                ("verdict", Json::from(if pr.ok { "ok" } else { "violation" })),
+                ("verdict", Json::from(if pr.ok() { "ok" } else { "violation" })),
                 ("seeds_run", Json::from(pr.seeds_run)),
             ];
             if let Some(seed) = pr.fail_seed {

@@ -1,14 +1,17 @@
-//! Preemption-maximizing adversaries and empirical violation search
-//! against the Fig. 7 algorithm.
+//! Preemption-maximizing adversaries and the Table 1 probe against the
+//! Fig. 7 algorithm.
 //!
 //! Theorem 3 says no algorithm works when `Q ≤ max(1, 2P − C)`; Theorem 4
 //! says Fig. 7 works when `Q ≥ max(2c, c(2P + 1 − C))`. Between the two
 //! lies the constant factor `c`. This module provides the adversary
-//! schedules that locate Fig. 7's *empirical* threshold: the smallest `Q`
-//! at which no adversary run violates agreement — the data series behind
-//! the regenerated Table 1.
+//! schedules that locate Fig. 7's *empirical* threshold, and [`probe`],
+//! which runs them: the smallest `Q` at which no adversary run fails the
+//! probe's oracle is the data series behind the regenerated Table 1.
+
+use std::time::Duration;
 
 use hybrid_wf::multi::consensus::{decide_machine, LocalMode, MultiMem};
+use hybrid_wf::multi::failures::{lemma3_bound_holds, summarize};
 use hybrid_wf::multi::ports::PortLayout;
 use hybrid_wf::Val;
 use sched_sim::decision::{Choice, Decider, SeededRandom};
@@ -65,16 +68,6 @@ impl Decider for MaxPreempt {
             Choice::FirstCredit { .. } => 0,
         }
     }
-}
-
-/// A report of a consensus violation found by the adversary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ViolationReport {
-    /// The seed that produced it.
-    pub seed: u64,
-    /// The distinct decisions observed (≥ 2 entries), or the description
-    /// of a `⊥` return.
-    pub outcome: String,
 }
 
 /// The standard Fig. 7 workload for threshold experiments, as a reusable
@@ -137,60 +130,58 @@ pub fn adversary_for_seed(seed: u64) -> Box<dyn Decider> {
     }
 }
 
-/// Runs the adversary against Fig. 7 for `seeds` seeds at quantum `q`;
-/// returns the first violation found (disagreement or a `⊥` return).
-pub fn find_violation(
-    p: u32,
-    c: u32,
-    m: u32,
-    v: u32,
-    q: u32,
-    mode: LocalMode,
-    seeds: u64,
-) -> Option<ViolationReport> {
-    let scenario = fig7_scenario(p, c, m, v, q, mode);
-    for seed in 0..seeds {
-        let r = scenario.run(&mut *adversary_for_seed(seed));
-        if !r.all_finished {
-            return Some(ViolationReport {
-                seed,
-                outcome: "run did not terminate within the step budget".into(),
-            });
-        }
-        let mut outs = Vec::new();
-        for (pid, out) in r.outputs.iter().enumerate() {
-            match out {
-                Some(v) => outs.push(*v),
-                None => {
-                    return Some(ViolationReport {
-                        seed,
-                        outcome: format!("p{pid} returned ⊥"),
-                    })
-                }
-            }
-        }
-        outs.sort_unstable();
-        outs.dedup();
-        if outs.len() > 1 {
-            return Some(ViolationReport { seed, outcome: format!("disagreement: {outs:?}") });
-        }
-    }
-    None
+/// The Q axis of the Table 1 grid: every quantum probed at every (P, C).
+/// The measured thresholds all sit well inside `1..=8`; 12 and 16 confirm
+/// stability above the knee.
+pub const TABLE1_QS: [u32; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 12, 16];
+
+/// Adversary seeds per Table 1 probe.
+pub const TABLE1_SEEDS: u64 = 60;
+
+/// The result of one [`probe`].
+#[derive(Clone, Debug)]
+pub struct Probe {
+    /// The quantum probed.
+    pub q: u32,
+    /// Seeds run: all of them, or up to and including the first failing one.
+    pub seeds_run: u64,
+    /// The first seed whose run failed the oracle, if any.
+    pub fail_seed: Option<u64>,
+    /// Statements executed across the seeds run.
+    pub steps: u64,
+    /// Wall-clock time of the seeds run.
+    pub wall: Duration,
 }
 
-/// Finds the smallest quantum in `1..=max_q` for which `find_violation`
-/// comes up empty (linear scan from below, so the result is exact w.r.t.
-/// the adversary's power). Returns `None` if even `max_q` fails.
-pub fn min_working_q(
-    p: u32,
-    c: u32,
-    m: u32,
-    v: u32,
-    mode: LocalMode,
-    seeds: u64,
-    max_q: u32,
-) -> Option<u32> {
-    (1..=max_q).find(|&q| find_violation(p, c, m, v, q, mode, seeds).is_none())
+impl Probe {
+    /// Whether every seed passed.
+    pub fn ok(&self) -> bool {
+        self.fail_seed.is_none()
+    }
+}
+
+/// The Table 1 probe: does Fig. 7 at `(p, c, m, v, q)` ([`fig7_scenario`],
+/// modeled local elections) survive [`adversary_for_seed`] for every seed
+/// in `0..seeds`? A run passes when all processes (a) finish and agree,
+/// (b) satisfy the Lemma 3 access-failure bound, and (c) retain a
+/// failure-free deciding level. Stops at the first failing seed.
+pub fn probe(p: u32, c: u32, m: u32, v: u32, q: u32, seeds: u64) -> Probe {
+    let scenario = fig7_scenario(p, c, m, v, q, LocalMode::Modeled);
+    let mut out = Probe { q, seeds_run: 0, fail_seed: None, steps: 0, wall: Duration::ZERO };
+    for seed in 0..seeds {
+        let r = scenario.run(&mut *adversary_for_seed(seed));
+        out.seeds_run += 1;
+        out.steps += r.steps;
+        out.wall += r.wall;
+        let ok = r.agreed_output().is_some()
+            && lemma3_bound_holds(r.mem())
+            && !summarize(r.mem()).clean_levels.is_empty();
+        if !ok {
+            out.fail_seed = Some(seed);
+            break;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -199,8 +190,8 @@ mod tests {
 
     #[test]
     fn generous_quantum_never_violates() {
-        assert_eq!(find_violation(2, 2, 2, 1, 256, LocalMode::Modeled, 15), None);
-        assert_eq!(find_violation(2, 4, 2, 2, 256, LocalMode::Modeled, 15), None);
+        assert!(probe(2, 2, 2, 1, 256, 15).ok());
+        assert!(probe(2, 4, 2, 2, 256, 15).ok());
     }
 
     #[test]
@@ -222,10 +213,10 @@ mod tests {
                     if seed % 2 == 0 { &mut mp } else { &mut sr };
                 k.run(d, 50_000_000);
                 assert!(k.all_finished());
-                let s = hybrid_wf::multi::failures::summarize(&k.mem);
+                let s = summarize(&k.mem);
                 total += s.same + s.diff;
                 max_run = max_run.max(s.same + s.diff);
-                if !hybrid_wf::multi::failures::lemma3_bound_holds(&k.mem) {
+                if !lemma3_bound_holds(&k.mem) {
                     lemma3_violated = true;
                 }
             }
@@ -253,14 +244,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
-    }
-
-    #[test]
-    fn min_working_q_is_monotone_sane() {
-        // Whatever threshold the search finds, a far larger quantum must
-        // also work.
-        if let Some(q) = min_working_q(2, 2, 2, 1, LocalMode::Modeled, 10, 64) {
-            assert!(find_violation(2, 2, 2, 1, q.max(64), LocalMode::Modeled, 10).is_none());
-        }
     }
 }

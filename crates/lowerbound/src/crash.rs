@@ -1,11 +1,12 @@
 //! The crash-and-restart grid behind `experiments --crash`: crash/recover
 //! lifecycle plans as a first-class scenario axis.
 //!
-//! Each cell runs one algorithm family — Fig. 3 consensus, the universal
-//! construction, Fig. 7 multiprocessor consensus — at its *legal* quantum
-//! with a deterministic crash plan ([`Scenario::crash_at`] /
-//! [`Scenario::recover_at`]): one victim crashes mid-run, loses its partial
-//! invocation (local state rewinds to the invocation's first statement;
+//! Each cell runs one algorithm family's fuzz scenario — Fig. 3 consensus,
+//! the universal construction, Fig. 7 multiprocessor consensus, each the
+//! [`engine`] at its *legal* quantum — with a deterministic crash plan
+//! ([`run_crashed`](crate::fuzz::CaseEngine::run_crashed)): one victim
+//! crashes mid-run, loses its partial invocation (local state rewinds to
+//! the invocation's first statement;
 //! shared-memory side effects of the partial run remain), and re-runs the
 //! invocation from its copy-chain re-read after recovery. Schedules come
 //! from a [`Noisy`] decider — a seeded-uniform base perturbed per step with
@@ -14,23 +15,27 @@
 //! and the grid keeps the standard bit-identical parallel == serial
 //! guarantee under [`run_cells`].
 //!
-//! The oracles extend the fuzz oracles *across the recovery boundary*:
+//! The oracles *are* the fuzz engines' recovery-safe oracles (see
+//! [`CaseEngine`](crate::fuzz::CaseEngine)), followed by two crash-only
+//! checks:
 //!
-//! * **agreement + validity** — the recovered process must decide the same
-//!   valid value as everyone else (Fig. 3 / Fig. 7), crash or no crash;
+//! * **recovery-safe** — every process finishes; the recovered process
+//!   decides the same valid value as everyone else (Fig. 3 / Fig. 7); for
+//!   the universal construction the replica replay and the linearizability
+//!   oracle check that no crashed-and-restarted operation was applied
+//!   twice;
 //! * **exactly-once** — an operation that crashed mid-invocation must
 //!   either never take effect or take effect exactly once: every process's
-//!   completed-operation count must equal its plan, and for the universal
-//!   construction the replica replay and the linearizability oracle check
-//!   that no crashed-and-restarted operation was applied twice;
+//!   completed-operation count must equal its plan ([`CrashPlan::ops`]);
 //! * **crash-plan liveness** — the planned crash must actually have fired
 //!   (`crashes ≥ 1`), so a silently impotent plan cannot masquerade as a
 //!   passing cell.
 //!
-//! Fig. 7's Lemma 2/3 access-failure accounting is deliberately *not*
-//! checked here: a crash closes the victim's window early
-//! ([`sched_sim::obs::WindowCloseReason::Crashed`]), outside the lemmas'
-//! expiry/boundary window model.
+//! The engines' schedule-model checks are deliberately *not* applied: a
+//! victim re-runs the statements of its crashed invocation, so its own-step
+//! count exceeds the per-invocation bound, and a crash closes its window
+//! early ([`sched_sim::obs::WindowCloseReason::Crashed`]), outside Lemma
+//! 2/3's expiry/boundary window model.
 //!
 //! The grid's last line is a **churn** service cell: the counter service of
 //! [`crate::service`] with a [`ChurnSpec`] — a fraction of each shard's
@@ -42,24 +47,14 @@
 //! `BENCH_crash.json`; wall times ride along only until the artifact
 //! writer splits them into the `.timing.json` sidecar.
 
-use std::time::Duration;
-
-use hybrid_wf::multi::consensus::LocalMode;
-use hybrid_wf::oracle::{check_linearizable, timed_ops};
-use hybrid_wf::uni::consensus::{decide_machine as fig3_decide, UniConsensusMem, MIN_QUANTUM};
-use hybrid_wf::universal::{
-    op_machine as universal_machine, replay_final_state, CounterSpec, UniversalMem,
-};
-use hybrid_wf::Val;
+use hybrid_wf::universal::CounterSpec;
 use sched_sim::decision::{Noisy, SeededRandom};
-use sched_sim::ids::{ProcessId, ProcessorId, Priority};
-use sched_sim::kernel::SystemSpec;
+use sched_sim::ids::ProcessId;
 use sched_sim::report::{wall_ms, Json, Kind};
-use sched_sim::scenario::{RunResult, Scenario};
 use sched_sim::service::{Arrival, ChurnSpec, Service, ServiceSpec};
 use sched_sim::sweep::run_cells;
 
-use crate::fuzz::{agreement_validity, require_finished, Family};
+use crate::fuzz::{engine, CaseRun, Family};
 
 /// The noise levels of the grid, as `num / den` per-step perturbation
 /// probabilities: off (the pure seeded-uniform base), light, and heavy.
@@ -97,23 +92,27 @@ pub struct CrashPlan {
     pub crash_t: u64,
     /// Global statement time of the recovery.
     pub recover_t: u64,
+    /// Operations every process of the scenario plans: the exactly-once
+    /// oracle's expected per-process completion count.
+    pub ops: u64,
 }
 
 impl CrashCell {
     /// The cell's crash plan. Victim and instant rotate with the seed so a
     /// handful of seeds covers every process and several window phases.
     pub fn plan(&self) -> CrashPlan {
-        let (n_procs, base_t, spread, down) = match self.family {
-            // 3 procs, 8-statement decides: crash before t = 6 so the
-            // victim cannot have executed its 8th own statement yet.
-            Family::Fig3 => (3u64, 3u64, 3u64, 32u64),
+        let (n_procs, ops, base_t, spread, down) = match self.family {
+            // 3 procs, one 8-statement decide each: crash before t = 6 so
+            // the victim cannot have executed its 8th own statement yet.
+            Family::Fig3 => (3u64, 1u64, 3u64, 3u64, 32u64),
             // 3 procs × 2 multi-statement ops each, but the highest-
             // priority worker can finish both ops within ~8 statements —
             // so crash before t = 4, under the 4-statement floor of two
             // completed operations.
-            Family::Universal => (3, 1, 3, 64),
-            // 9 procs, decides run for hundreds of statements.
-            Family::Fig7 => (9, 16, 32, 256),
+            Family::Universal => (3, 2, 1, 3, 64),
+            // 9 procs, one decide each; decides run for hundreds of
+            // statements.
+            Family::Fig7 => (9, 1, 16, 32, 256),
             _ => unreachable!("not a crash-grid family"),
         };
         let crash_t = base_t + self.seed % spread;
@@ -121,23 +120,9 @@ impl CrashCell {
             victim: ProcessId((self.seed % n_procs) as u32),
             crash_t,
             recover_t: crash_t + down,
+            ops,
         }
     }
-}
-
-/// Outcome of one crash-grid cell run.
-#[derive(Clone, Debug)]
-pub struct CrashReport {
-    /// Statements executed.
-    pub steps: u64,
-    /// Wall-clock time.
-    pub wall: Duration,
-    /// Crashes that actually fired.
-    pub crashes: u64,
-    /// Recoveries that actually fired.
-    pub recoveries: u64,
-    /// The first oracle violation, if any.
-    pub violation: Option<String>,
 }
 
 /// The full grid: every crash family × noise level × seed. `smoke` keeps
@@ -169,118 +154,10 @@ fn noisy(cell: &CrashCell) -> Noisy<SeededRandom> {
     )
 }
 
-/// Runs one cell under its noisy schedule and recovery-safe oracle.
-pub fn run_cell(cell: &CrashCell) -> CrashReport {
-    match cell.family {
-        Family::Fig3 => run_fig3(cell),
-        Family::Universal => run_universal(cell),
-        Family::Fig7 => run_fig7(cell),
-        _ => unreachable!("not a crash-grid family"),
-    }
-}
-
-fn run_fig3(cell: &CrashCell) -> CrashReport {
-    const INPUTS: [Val; 3] = [10, 20, 30];
-    let plan = cell.plan();
-    let mut s = Scenario::new(
-        UniConsensusMem::default(),
-        SystemSpec::hybrid(MIN_QUANTUM).with_adversarial_alignment(),
-    )
-    .step_budget(400_000);
-    for v in INPUTS {
-        s.add_process(ProcessorId(0), Priority(1), Box::new(fig3_decide(v)));
-    }
-    let s = s.crash_at(plan.crash_t, plan.victim).recover_at(plan.recover_t, plan.victim);
-    let r = s.run(&mut noisy(cell));
-    let violation = require_finished(&r)
-        .or_else(|| agreement_validity(&r, &INPUTS))
-        .or_else(|| exactly_once(&r, &[1, 1, 1]))
-        .or_else(|| crash_fired(&r));
-    report(&r, violation)
-}
-
-fn run_universal(cell: &CrashCell) -> CrashReport {
-    let n = 3u32;
-    let per = 2u32;
-    let plan = cell.plan();
-    let plans: Vec<Vec<Val>> =
-        (0..n).map(|pid| (1..=per).map(|i| Val::from(pid * per + i)).collect()).collect();
-    let total: Val = plans.iter().flatten().sum();
-    let mut s = Scenario::new(
-        UniversalMem::<CounterSpec>::new(n, 4 * (n * per) as usize + 4),
-        SystemSpec::hybrid(8).with_adversarial_alignment(),
-    )
-    .step_budget(1_000_000);
-    for pid in 0..n {
-        s.add_process(
-            ProcessorId(0),
-            Priority(1 + pid % 2),
-            Box::new(universal_machine(CounterSpec, pid, n, plans[pid as usize].clone())),
-        );
-    }
-    let s = s.crash_at(plan.crash_t, plan.victim).recover_at(plan.recover_t, plan.victim);
-    let r = s.run(&mut noisy(cell));
-    let violation = require_finished(&r)
-        .or_else(|| exactly_once(&r, &[u64::from(per); 3]))
-        .or_else(|| {
-            // Exactly-once at the replica: a crashed-and-restarted op that
-            // took effect twice would inflate the replayed final state.
-            let replayed = replay_final_state(&CounterSpec, r.mem());
-            (replayed != total)
-                .then(|| format!("replayed counter {replayed} != expected {total}"))
-        })
-        .or_else(|| {
-            let ops = timed_ops(r.ops(), |pid, inv| plans[pid as usize][inv as usize]);
-            check_linearizable(&CounterSpec, &ops)
-                .err()
-                .map(|e| format!("counter not linearizable across recovery: {e}"))
-        })
-        .or_else(|| crash_fired(&r));
-    report(&r, violation)
-}
-
-fn run_fig7(cell: &CrashCell) -> CrashReport {
-    let (p, m) = (3u32, 3u32);
-    let plan = cell.plan();
-    let inputs: Vec<Val> = (0..u64::from(p * m)).map(|pid| 10 + pid).collect();
-    let s = crate::adversary::fig7_scenario(p, 3, m, 1, 64, LocalMode::Modeled)
-        .step_budget(5_000_000)
-        .crash_at(plan.crash_t, plan.victim)
-        .recover_at(plan.recover_t, plan.victim);
-    let r = s.run(&mut noisy(cell));
-    let violation = require_finished(&r)
-        .or_else(|| agreement_validity(&r, &inputs))
-        .or_else(|| exactly_once(&r, &vec![1; inputs.len()]))
-        .or_else(|| crash_fired(&r));
-    report(&r, violation)
-}
-
-fn report<M: Clone>(r: &RunResult<M>, violation: Option<String>) -> CrashReport {
-    CrashReport {
-        steps: r.steps,
-        wall: r.wall,
-        crashes: r.counters.crashes,
-        recoveries: r.counters.recoveries,
-        violation,
-    }
-}
-
-/// The exactly-once oracle: every process's completed-operation count must
-/// equal its plan. An invocation that crashed mid-run either re-runs to a
-/// single completion (count unchanged) or — if it never recovers — holds
-/// the run unfinished; a double execution would overshoot its count.
-fn exactly_once<M: Clone>(r: &RunResult<M>, planned: &[u64]) -> Option<String> {
-    let mut counts = vec![0u64; planned.len()];
-    for op in r.ops() {
-        counts[op.pid.index()] += 1;
-    }
-    (counts != planned).then(|| {
-        format!("exactly-once violated: completed ops per process {counts:?} != planned {planned:?}")
-    })
-}
-
-fn crash_fired<M: Clone>(r: &RunResult<M>) -> Option<String> {
-    (r.counters.crashes == 0).then(|| "crash plan never fired".to_string())
+/// Runs one cell: the family's [`engine`] at its legal quantum, under the
+/// cell's noisy schedule and crash plan.
+pub fn run_cell(cell: &CrashCell) -> CaseRun {
+    engine(cell.family, cell.family.legal_q()).run_crashed(&cell.plan(), &mut noisy(cell))
 }
 
 /// The churn service configuration: the counter service under continuous
@@ -360,7 +237,7 @@ pub const KEYS: &[(&str, Kind)] = &[
 ];
 
 /// Renders one cell's artifact line (`report::CELL_SCHEMA` plus [`KEYS`]).
-pub fn cell_line(cell: &CrashCell, rep: &CrashReport) -> Json {
+pub fn cell_line(cell: &CrashCell, rep: &CaseRun) -> Json {
     let plan = cell.plan();
     let mut obj = vec![
         ("kind", Json::from("crash")),
@@ -411,37 +288,56 @@ mod tests {
     use super::*;
     use sched_sim::report::split_timing;
 
-    /// The satellite pin: a seeded Fig. 3 run with one crash-and-restart
-    /// still satisfies agreement, and the recovered process's operation is
-    /// linearized exactly once (one completed op per process, no
-    /// duplicate).
+    /// A seeded Fig. 3 run with one crash-and-restart still satisfies
+    /// agreement, and the recovered process's operation is linearized
+    /// exactly once (one completed op per process, no duplicate).
     #[test]
     fn fig3_crash_restart_agrees_and_completes_exactly_once() {
         let cell = CrashCell { family: Family::Fig3, noise_num: 0, noise_den: 8, seed: 0 };
         let plan = cell.plan();
-        const INPUTS: [Val; 3] = [10, 20, 30];
-        let mut s = Scenario::new(
-            UniConsensusMem::default(),
-            SystemSpec::hybrid(MIN_QUANTUM).with_adversarial_alignment(),
-        )
-        .step_budget(400_000);
-        for v in INPUTS {
-            s.add_process(ProcessorId(0), Priority(1), Box::new(fig3_decide(v)));
-        }
-        let s = s.crash_at(plan.crash_t, plan.victim).recover_at(plan.recover_t, plan.victim);
-        let r = s.run(&mut noisy(&cell));
-        assert!(r.all_finished, "crashed run must finish after recovery");
-        assert_eq!(r.counters.crashes, 1, "the planned crash fires exactly once");
-        assert_eq!(r.counters.recoveries, 1);
-        let agreed = r.agreed_output().expect("agreement must survive the restart");
-        assert!(INPUTS.contains(&agreed));
+        let eng = engine(Family::Fig3, Family::Fig3.legal_q());
+        let run = eng.run_crashed(&plan, &mut noisy(&cell));
+        assert!(run.all_finished, "crashed run must finish after recovery");
+        assert_eq!(run.crashes, 1, "the planned crash fires exactly once");
+        assert_eq!(run.recoveries, 1);
+        // `run_crashed` checks agreement and validity, then exactly-once:
+        // a clean verdict means both held.
+        assert_eq!(run.violation, None, "agreement must survive the restart");
         // Exactly-once: the victim's decide completed once, not zero or
-        // two times, and so did everyone else's.
-        let mut counts = [0u64; 3];
-        for op in r.ops() {
-            counts[op.pid.index()] += 1;
-        }
-        assert_eq!(counts, [1, 1, 1], "each decide is linearized exactly once");
+        // two times, and so did everyone else's — an over-planned run
+        // reports the completion counts it saw.
+        let over = eng.run_crashed(&CrashPlan { ops: 2, ..plan }, &mut noisy(&cell));
+        assert_eq!(
+            over.violation.as_deref(),
+            Some("exactly-once violated: completed ops per process [1, 1, 1], planned 2 each"),
+            "each decide is linearized exactly once"
+        );
+    }
+
+    /// A crash plan whose crash instant lies past the end of the run never
+    /// fires, and the cell reports that instead of passing.
+    #[test]
+    fn crash_plan_that_never_fires_is_reported() {
+        let cell = CrashCell { family: Family::Fig3, noise_num: 0, noise_den: 8, seed: 0 };
+        let plan = CrashPlan { crash_t: 1_000_000, recover_t: 1_000_032, ..cell.plan() };
+        let eng = engine(Family::Fig3, Family::Fig3.legal_q());
+        let run = eng.run_crashed(&plan, &mut noisy(&cell));
+        assert!(run.all_finished);
+        assert_eq!(run.crashes, 0);
+        assert_eq!(run.violation.as_deref(), Some("crash plan never fired"));
+    }
+
+    /// Crash runs skip the schedule-model checks: a Fig. 3 victim that
+    /// re-runs its crashed decide takes more than the 8 own steps per
+    /// invocation the fuzz oracle allows a crash-free run, and the cell
+    /// still passes.
+    #[test]
+    fn crash_rerun_is_exempt_from_the_own_steps_bound() {
+        let cell = CrashCell { family: Family::Fig3, noise_num: 0, noise_den: 8, seed: 1 };
+        let run = run_cell(&cell);
+        assert!(run.steps > 3 * 8, "the victim re-ran statements ({} steps)", run.steps);
+        assert_eq!(run.violation, None);
+        assert_eq!(run.crashes, 1);
     }
 
     /// Every crash cell of the smoke grid passes its recovery-safe oracle,

@@ -57,6 +57,7 @@ use sched_sim::shrink::shrink_script;
 use sched_sim::sweep::run_cells;
 
 use crate::adversary::MaxPreempt;
+use crate::crash::CrashPlan;
 
 /// An algorithm family under fuzz.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,6 +236,10 @@ pub struct CaseRun {
     pub wall: Duration,
     /// Whether every process finished within the step budget.
     pub all_finished: bool,
+    /// Crashes that fired (zero unless the run had a [`CrashPlan`]).
+    pub crashes: u64,
+    /// Recoveries that fired.
+    pub recoveries: u64,
     /// The effective decision script of the run (every consulted decision,
     /// post-clamp) — replayable with [`Scripted::strict`].
     pub script: Vec<usize>,
@@ -242,6 +247,14 @@ pub struct CaseRun {
 
 /// A fuzzable algorithm family instance: runs a fixed scenario under any
 /// decider and judges the result with the family's safety oracle.
+///
+/// The oracle has two parts. The *recovery-safe* part holds across crashes
+/// and recoveries: termination where the family requires it, agreement and
+/// validity, the universal replica replay, linearizability. The
+/// *schedule-model* part holds only when no process re-runs statements:
+/// the per-invocation own-step bounds and Fig. 7's Lemma 2/3 and
+/// deciding-level checks. A crash-free run is judged by both, in that
+/// order; a [`CaseEngine::run_crashed`] run by the recovery-safe part only.
 pub trait CaseEngine {
     /// Number of processes in the scenario (for decider construction).
     fn n_procs(&self) -> u32;
@@ -260,6 +273,13 @@ pub trait CaseEngine {
     /// schedule metrics. No event log is retained — memory stays
     /// O(processes) even on budget-length runs.
     fn run_profiled(&self, d: &mut dyn Decider) -> (CaseRun, Profile);
+    /// Runs the scenario under `d` with `plan`'s crash and recovery
+    /// ([`Scenario::crash_at`] / [`Scenario::recover_at`]). The run is
+    /// judged by the recovery-safe oracle, then exactly-once (every process
+    /// completes [`CrashPlan::ops`] operations), then whether the crash
+    /// fired. A victim re-runs its crashed invocation, so the
+    /// schedule-model checks do not apply.
+    fn run_crashed(&self, plan: &CrashPlan, d: &mut dyn Decider) -> CaseRun;
 }
 
 /// Builds the engine for `family` at quantum `q`.
@@ -267,22 +287,19 @@ pub fn engine(family: Family, q: u32) -> Box<dyn CaseEngine> {
     match family {
         Family::Fig3 => {
             const INPUTS: [Val; 3] = [10, 20, 30];
-            let build = || {
-                let mut s = Scenario::new(
-                    UniConsensusMem::default(),
-                    SystemSpec::hybrid(q).with_adversarial_alignment(),
-                )
-                .step_budget(200_000);
-                for v in INPUTS {
-                    s.add_process(ProcessorId(0), Priority(1), Box::new(fig3_decide(v)));
-                }
-                s
-            };
-            boxed(build(), build().with_obs(), move |r| {
-                require_finished(r)
-                    .or_else(|| agreement_validity(r, &INPUTS))
-                    .or_else(|| own_steps_bound(r, 8))
-            })
+            let mut s = Scenario::new(
+                UniConsensusMem::default(),
+                SystemSpec::hybrid(q).with_adversarial_alignment(),
+            )
+            .step_budget(200_000);
+            for v in INPUTS {
+                s.add_process(ProcessorId(0), Priority(1), Box::new(fig3_decide(v)));
+            }
+            boxed(
+                s,
+                |r| require_finished(r).or_else(|| agreement_validity(r, &INPUTS)),
+                |r| own_steps_bound(r, 8),
+            )
         }
         Family::Fig5 => {
             let v = 2u32;
@@ -292,28 +309,24 @@ pub fn engine(family: Family, q: u32) -> Box<dyn CaseEngine> {
                 vec![CasOp::Cas { old: 100, new: 2 }, CasOp::Cas { old: 1, new: 3 }],
                 vec![CasOp::Read, CasOp::Cas { old: 2, new: 4 }],
             ];
-            let build = || {
-                let mut s = Scenario::new(
-                    CasMem::new(v, &prios, 100),
-                    SystemSpec::hybrid(q).with_adversarial_alignment(),
-                )
-                .step_budget(500_000);
-                for (pid, plan) in plans.iter().enumerate() {
-                    s.add_process(
-                        ProcessorId(0),
-                        Priority(prios[pid]),
-                        Box::new(cas_machine(pid as u32, prios[pid], 3, v, plan.clone())),
-                    );
-                }
-                s
-            };
-            let plans2 = plans.clone();
-            boxed(build(), build().with_obs(), move |r| {
-                if let Some(v) = require_finished(r).or_else(|| own_steps_bound(r, 500)) {
+            let mut s = Scenario::new(
+                CasMem::new(v, &prios, 100),
+                SystemSpec::hybrid(q).with_adversarial_alignment(),
+            )
+            .step_budget(500_000);
+            for (pid, plan) in plans.iter().enumerate() {
+                s.add_process(
+                    ProcessorId(0),
+                    Priority(prios[pid]),
+                    Box::new(cas_machine(pid as u32, prios[pid], 3, v, plan.clone())),
+                );
+            }
+            let safe = move |r: &RunResult<CasMem>| {
+                if let Some(v) = require_finished(r) {
                     return Some(v);
                 }
                 let ops = timed_ops(r.ops(), |pid, inv| {
-                    match plans2[pid as usize][inv as usize] {
+                    match plans[pid as usize][inv as usize] {
                         CasOp::Cas { old, new } => CasRegOp::Cas { old, new },
                         CasOp::Read => CasRegOp::Read,
                     }
@@ -324,7 +337,8 @@ pub fn engine(family: Family, q: u32) -> Box<dyn CaseEngine> {
                     None => check_linearizable(&spec, &ops),
                 };
                 res.err().map(|e| format!("not linearizable: {e}"))
-            })
+            };
+            boxed(s, safe, |r| own_steps_bound(r, 500))
         }
         Family::Fig7 => {
             // P = C = 3: Theorem 3 puts the threshold at 2P − C = 3, and
@@ -332,15 +346,13 @@ pub fn engine(family: Family, q: u32) -> Box<dyn CaseEngine> {
             // within a couple of seeds at Q = 1 — unlike P = C = 2, where
             // a violating schedule needs a ~30-seed search.
             let (p, m) = (3u32, 3u32);
-            let build = move || {
-                crate::adversary::fig7_scenario(p, 3, m, 1, q, LocalMode::Modeled)
-                    .step_budget(5_000_000)
-            };
+            let s = crate::adversary::fig7_scenario(p, 3, m, 1, q, LocalMode::Modeled)
+                .step_budget(5_000_000);
             let inputs: Vec<Val> = (0..u64::from(p * m)).map(|pid| 10 + pid).collect();
-            boxed(build(), build().with_obs(), move |r: &RunResult<MultiMem>| {
-                if let Some(v) = require_finished(r).or_else(|| agreement_validity(r, &inputs)) {
-                    return Some(v);
-                }
+            let safe = move |r: &RunResult<MultiMem>| {
+                require_finished(r).or_else(|| agreement_validity(r, &inputs))
+            };
+            boxed(s, safe, |r| {
                 if !lemma2_holds(r.mem()) {
                     return Some("Lemma 2 violated: a window suffered more than one access failure per object".into());
                 }
@@ -361,31 +373,26 @@ pub fn engine(family: Family, q: u32) -> Box<dyn CaseEngine> {
             let prios = [1u32, 1, 1];
             let cpus = [0u32, 0, 0];
             let inputs: [Val; 3] = [10, 11, 12];
-            let build = || {
-                let layout = PortLayout::new(1, 2, 3);
-                let mem = FairMem::new(MultiMem::new(layout, 1, &prios, &cpus));
-                let mut s = Scenario::new(
-                    mem,
-                    SystemSpec::hybrid(q).with_adversarial_alignment(),
-                )
+            let layout = PortLayout::new(1, 2, 3);
+            let mem = FairMem::new(MultiMem::new(layout, 1, &prios, &cpus));
+            let mut s = Scenario::new(mem, SystemSpec::hybrid(q).with_adversarial_alignment())
                 .step_budget(100_000);
-                for (pid, &val) in inputs.iter().enumerate() {
-                    s.add_process(
-                        ProcessorId(0),
-                        Priority(1),
-                        Box::new(fair_decide(pid as u32, 0, 1, val, LocalMode::Modeled)),
-                    );
-                }
-                s
-            };
+            for (pid, &val) in inputs.iter().enumerate() {
+                s.add_process(
+                    ProcessorId(0),
+                    Priority(1),
+                    Box::new(fair_decide(pid as u32, 0, 1, val, LocalMode::Modeled)),
+                );
+            }
             // Safety-only: hostile deciders are unfair, and Fig. 9's losers
             // spin on Output — livelock is lawful, disagreement is not.
-            boxed(build(), build().with_obs(), move |r| {
+            let safe = move |r: &RunResult<FairMem>| {
                 if !r.all_finished {
                     return None;
                 }
                 agreement_validity(r, &inputs)
-            })
+            };
+            boxed(s, safe, no_model)
         }
         Family::Universal => {
             let n = 3u32;
@@ -393,119 +400,117 @@ pub fn engine(family: Family, q: u32) -> Box<dyn CaseEngine> {
             let plans: Vec<Vec<Val>> =
                 (0..n).map(|pid| (1..=per).map(|i| Val::from(pid * per + i)).collect()).collect();
             let total: Val = plans.iter().flatten().sum();
-            let build = || {
-                let mut s = Scenario::new(
-                    UniversalMem::<CounterSpec>::new(n, 4 * (n * per) as usize + 4),
-                    SystemSpec::hybrid(q).with_adversarial_alignment(),
-                )
-                .step_budget(1_000_000);
-                for pid in 0..n {
-                    s.add_process(
-                        ProcessorId(0),
-                        Priority(1 + pid % 2),
-                        Box::new(universal_machine(
-                            CounterSpec,
-                            pid,
-                            n,
-                            plans[pid as usize].clone(),
-                        )),
-                    );
-                }
-                s
-            };
-            let plans2 = plans.clone();
-            boxed(build(), build().with_obs(), move |r| {
-                if let Some(v) = require_finished(r).or_else(|| own_steps_bound(r, 1_000)) {
+            let mut s = Scenario::new(
+                UniversalMem::<CounterSpec>::new(n, 4 * (n * per) as usize + 4),
+                SystemSpec::hybrid(q).with_adversarial_alignment(),
+            )
+            .step_budget(1_000_000);
+            for pid in 0..n {
+                s.add_process(
+                    ProcessorId(0),
+                    Priority(1 + pid % 2),
+                    Box::new(universal_machine(CounterSpec, pid, n, plans[pid as usize].clone())),
+                );
+            }
+            // The replica replay is also the exactly-once check at the
+            // replica: an operation applied twice inflates the replayed
+            // final state.
+            let safe = move |r: &RunResult<UniversalMem<CounterSpec>>| {
+                if let Some(v) = require_finished(r) {
                     return Some(v);
                 }
                 let replayed = replay_final_state(&CounterSpec, r.mem());
                 if replayed != total {
                     return Some(format!("replayed counter {replayed} != expected {total}"));
                 }
-                let ops = timed_ops(r.ops(), |pid, inv| plans2[pid as usize][inv as usize]);
+                let ops = timed_ops(r.ops(), |pid, inv| plans[pid as usize][inv as usize]);
                 check_linearizable(&CounterSpec, &ops)
                     .err()
                     .map(|e| format!("counter not linearizable: {e}"))
-            })
+            };
+            boxed(s, safe, |r| own_steps_bound(r, 1_000))
         }
         Family::Locks => {
-            let build = || {
-                let mut s = Scenario::new(
-                    LockMem::default(),
-                    SystemSpec::hybrid(q).with_adversarial_alignment(),
-                )
-                .step_budget(100_000);
-                for (pid, prio) in [1u32, 1, 2].into_iter().enumerate() {
-                    s.add_process(
-                        ProcessorId(0),
-                        Priority(prio),
-                        Box::new(inc_machine(pid as u32, 3, 2)),
-                    );
-                }
-                s
-            };
+            let spec = SystemSpec::hybrid(q).with_adversarial_alignment();
+            let mut s = Scenario::new(LockMem::default(), spec).step_budget(100_000);
+            for (pid, prio) in [1u32, 1, 2].into_iter().enumerate() {
+                let m = inc_machine(pid as u32, 3, 2);
+                s.add_process(ProcessorId(0), Priority(prio), Box::new(m));
+            }
             // Safety-only: priority inversion lawfully livelocks a TAS
             // lock (that is the baseline's point), but the single-statement
             // test-and-set keeps mutual exclusion — a finished run with a
             // wrong counter is a real bug.
-            boxed(build(), build().with_obs(), move |r| {
-                if !r.all_finished {
-                    return None;
-                }
+            let safe = |r: &RunResult<LockMem>| {
                 let c = r.mem().counter;
-                (c != 9).then(|| format!("lock-protected counter {c} != 9 after 3x3 increments"))
-            })
+                (r.all_finished && c != 9)
+                    .then(|| format!("lock-protected counter {c} != 9 after 3x3 increments"))
+            };
+            boxed(s, safe, no_model)
         }
         Family::Exponential => {
             let n = 3u32;
             let inputs: Vec<Val> = (0..n).map(|pid| Val::from(pid) + 1).collect();
-            let build = || {
-                let mut s = Scenario::new(
-                    ExpMem::new(n),
-                    SystemSpec::hybrid(q).with_adversarial_alignment(),
-                )
-                .step_budget(1_000_000);
-                for pid in 0..n {
-                    s.add_process(
-                        ProcessorId(0),
-                        Priority(pid + 1),
-                        Box::new(exp_decide(pid, Val::from(pid) + 1)),
-                    );
-                }
-                s
-            };
-            boxed(build(), build().with_obs(), move |r| {
+            let mut s =
+                Scenario::new(ExpMem::new(n), SystemSpec::hybrid(q).with_adversarial_alignment())
+                    .step_budget(1_000_000);
+            for pid in 0..n {
+                s.add_process(
+                    ProcessorId(0),
+                    Priority(pid + 1),
+                    Box::new(exp_decide(pid, Val::from(pid) + 1)),
+                );
+            }
+            let safe = move |r: &RunResult<ExpMem>| {
                 require_finished(r).or_else(|| agreement_validity(r, &inputs))
-            })
+            };
+            boxed(s, safe, no_model)
         }
     }
 }
+
+/// A family's oracle part: `Some(description)` on a violation.
+type Oracle<M> = Box<dyn Fn(&RunResult<M>) -> Option<String>>;
 
 /// Internal: a family engine over a concrete memory type, bridging to the
 /// object-safe [`CaseEngine`].
 struct TypedEngine<M: Clone> {
     plain: Scenario<M>,
-    obs: Scenario<M>,
-    oracle: Box<dyn Fn(&RunResult<M>) -> Option<String>>,
+    /// The recovery-safe oracle part (see [`CaseEngine`]).
+    safe: Oracle<M>,
+    /// The schedule-model oracle part, for crash-free runs only.
+    model: Oracle<M>,
 }
 
 fn boxed<M: Clone + 'static>(
     plain: Scenario<M>,
-    obs: Scenario<M>,
-    oracle: impl Fn(&RunResult<M>) -> Option<String> + 'static,
+    safe: impl Fn(&RunResult<M>) -> Option<String> + 'static,
+    model: impl Fn(&RunResult<M>) -> Option<String> + 'static,
 ) -> Box<dyn CaseEngine> {
-    Box::new(TypedEngine { plain, obs, oracle: Box::new(oracle) })
+    Box::new(TypedEngine { plain, safe: Box::new(safe), model: Box::new(model) })
+}
+
+/// The schedule-model part of a family without one.
+fn no_model<M: Clone>(_: &RunResult<M>) -> Option<String> {
+    None
 }
 
 impl<M: Clone> TypedEngine<M> {
     fn case_run(&self, r: &RunResult<M>, script: Vec<usize>) -> CaseRun {
-        CaseRun {
-            violation: (self.oracle)(r),
-            steps: r.steps,
-            wall: r.wall,
-            all_finished: r.all_finished,
-            script,
-        }
+        let violation = (self.safe)(r).or_else(|| (self.model)(r));
+        report(r, violation, script)
+    }
+}
+
+fn report<M: Clone>(r: &RunResult<M>, violation: Option<String>, script: Vec<usize>) -> CaseRun {
+    CaseRun {
+        violation,
+        steps: r.steps,
+        wall: r.wall,
+        all_finished: r.all_finished,
+        crashes: r.counters.crashes,
+        recoveries: r.counters.recoveries,
+        script,
     }
 }
 
@@ -535,7 +540,7 @@ impl<M: Clone> CaseEngine for TypedEngine<M> {
 
     fn capture(&self, script: &[usize]) -> (CaseRun, Trace) {
         let mut scripted = Scripted::strict(script.to_vec());
-        let mut r = self.obs.run(&mut scripted);
+        let mut r = self.plain.clone().with_obs().run(&mut scripted);
         let run = self.case_run(&r, script.to_vec());
         let trace = r.take_trace().expect("obs scenario records a trace");
         (run, trace)
@@ -548,14 +553,28 @@ impl<M: Clone> CaseEngine for TypedEngine<M> {
         let profile = r.take_profile().expect("prof scenario streams a profile");
         (self.case_run(&r, script), profile)
     }
+
+    fn run_crashed(&self, plan: &CrashPlan, d: &mut dyn Decider) -> CaseRun {
+        let s = self
+            .plain
+            .clone()
+            .crash_at(plan.crash_t, plan.victim)
+            .recover_at(plan.recover_t, plan.victim);
+        let mut rec = Recording::new(d);
+        let r = s.run(&mut rec);
+        let violation = (self.safe)(&r)
+            .or_else(|| exactly_once(&r, plan.ops))
+            .or_else(|| crash_fired(&r));
+        report(&r, violation, rec.into_script())
+    }
 }
 
-pub(crate) fn require_finished<M: Clone>(r: &RunResult<M>) -> Option<String> {
+fn require_finished<M: Clone>(r: &RunResult<M>) -> Option<String> {
     (!r.all_finished)
         .then(|| format!("not all processes finished within the {}-step budget", r.steps))
 }
 
-pub(crate) fn agreement_validity<M: Clone>(r: &RunResult<M>, inputs: &[Val]) -> Option<String> {
+fn agreement_validity<M: Clone>(r: &RunResult<M>, inputs: &[Val]) -> Option<String> {
     match r.agreed_output() {
         None => Some(format!("disagreement: outputs {:?}", r.outputs)),
         Some(v) if !inputs.contains(&v) => {
@@ -569,6 +588,24 @@ fn own_steps_bound<M: Clone>(r: &RunResult<M>, bound: u64) -> Option<String> {
     let worst = r.max_own_steps();
     (worst > bound)
         .then(|| format!("wait-freedom bound exceeded: {worst} own-steps per invocation > {bound}"))
+}
+
+/// The exactly-once oracle: every process must complete exactly `ops`
+/// operations. An invocation that crashed mid-run either re-runs to a
+/// single completion (count unchanged) or — if it never recovers — holds
+/// the run unfinished; a double execution would overshoot its count.
+fn exactly_once<M: Clone>(r: &RunResult<M>, ops: u64) -> Option<String> {
+    let mut counts = vec![0u64; r.outputs.len()];
+    for op in r.ops() {
+        counts[op.pid.index()] += 1;
+    }
+    counts.iter().any(|&c| c != ops).then(|| {
+        format!("exactly-once violated: completed ops per process {counts:?}, planned {ops} each")
+    })
+}
+
+fn crash_fired<M: Clone>(r: &RunResult<M>) -> Option<String> {
+    (r.counters.crashes == 0).then(|| "crash plan never fired".to_string())
 }
 
 /// First violating run found while fuzzing a cell.

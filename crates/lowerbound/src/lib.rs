@@ -19,19 +19,20 @@
 //! * [`valency`] — classifies reachable states of small simulations as
 //!   uni- or bi-valent and searches for arbitrarily deep bivalent chains
 //!   (the Lemma 5/6 machinery of Fig. 10).
-//! * [`adversary`] — preemption-maximizing deciders plus empirical
-//!   violation search against the Fig. 7 algorithm, used by the `table1`
-//!   experiment to locate the quantum threshold between the paper's upper
-//!   and lower bounds.
+//! * [`adversary`] — preemption-maximizing deciders, the Fig. 7 workload,
+//!   and the one Table 1 probe ([`adversary::probe`]), which the `table1`
+//!   experiment runs to locate the quantum threshold between the paper's
+//!   upper and lower bounds.
 //! * [`fuzz`], [`profile`], [`native`], [`service`], [`crash`] and
 //!   [`explore_grid`] — the six artifact grids of the `experiments`
 //!   table: adversarial schedule fuzz with shrunk counterexamples, the
 //!   schedule profiler, the backend-generic algorithms on real OS threads,
 //!   sharded request-serving services, crash/recover lifecycle plans, and
-//!   exhaustive Lemma 1 verification. Each module builds its grid's rows
-//!   and defines next to them the `KEYS` those rows carry beyond
-//!   `sched_sim::report::CELL_SCHEMA`; all but `profile` also define the
-//!   grid's `grid_ok` gate.
+//!   exhaustive Lemma 1 verification. [`fuzz::engine`] is the one place a
+//!   family's scenario and oracle are written; the crash grid runs on it.
+//!   Each module builds its grid's rows and defines next to them the
+//!   `KEYS` those rows carry beyond `sched_sim::report::CELL_SCHEMA`; all
+//!   but `profile` also define the grid's `grid_ok` gate.
 //!
 //! The adversaries here are ordinary `sched_sim` deciders, so everything
 //! they do is subject to the same Axiom 1/2 well-formedness checking as

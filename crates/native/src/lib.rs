@@ -44,8 +44,6 @@
 //! * [`harness`] — thread-per-process workload runners emitting
 //!   `OpRecord`s stamped by a global ticket clock (free) or the lockstep
 //!   grants (lockstep), plus oracle bridges.
-//! * [`rt`] — the degraded-outcome real-time scheduling request API (the
-//!   hook where a privileged host would request `SCHED_RR`).
 //!
 //! Which backend to use when — and which paper guarantees survive on
 //! which backend — is tabulated in `BACKENDS.md`; the worked native
@@ -58,4 +56,3 @@
 pub mod backend;
 pub mod cells;
 pub mod harness;
-pub mod rt;

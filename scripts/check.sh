@@ -46,6 +46,12 @@ done
 # missing or extra trace).
 diff -r "$run_dir/tests/golden/fuzz" tests/golden/fuzz
 
+echo "== narrative sections, stdout byte for byte =="
+# These sections write no artifact; their printout is a pure function of
+# the code (the same at every --jobs), so it is pinned whole.
+(cd "$run_dir" && ../../target/release/experiments --jobs 4 --lemma1 --thm2 --fig8 \
+    --thm3 --valency --poly-vs-exp --obs) | cmp - tests/golden/experiments/narrative.txt
+
 echo "== every example binary, stdout byte for byte =="
 # The examples assert as they print (quickstart's well-formedness check,
 # lowerbound_demo's contradiction, cas_object's linearizability), so a
