@@ -62,9 +62,7 @@ use hybrid_wf::multi::ports::PortLayout;
 use hybrid_wf::uni::cas::{op_machine as cas_machine, CasMem, CasOp};
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use hybrid_wf::universal::{op_machine as universal_machine, CounterSpec, UniversalMem};
-use lowerbound::adversary::{
-    adversary_for_seed, fig7_scenario, probe, Probe, TABLE1_QS, TABLE1_SEEDS,
-};
+use lowerbound::adversary::{self, adversary_for_seed, fig7_scenario};
 use lowerbound::valency::bivalent_chain_depth;
 use lowerbound::{crash, explore_grid, fig6, fuzz, native, profile, service};
 use sched_sim::decision::RoundRobin;
@@ -126,7 +124,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment { flag: "--valency", run: |_| narrate(valency), artifact: None },
     Experiment {
         flag: "--table1",
-        run: |jobs| (table1(jobs), vec![]),
+        run: |jobs| (adversary::table1_rows(jobs), vec![]),
         artifact: Some(Artifact { name: "BENCH_table1.json", keys: &[], gate: None }),
     },
     Experiment { flag: "--poly-vs-exp", run: |_| narrate(poly_vs_exp), artifact: None },
@@ -684,84 +682,6 @@ fn valency() {
         println!("    Q = {q}: adversary sustains bivalence for {d} statements (of 16 total)");
     }
     println!();
-}
-
-/// The headline: Table 1, swept in parallel over the (P, C) cells; each
-/// cell probes the full Q axis.
-fn table1(jobs: usize) -> Vec<Json> {
-    println!("── Table 1: conditions for universality of a C-consensus object on P processors ──");
-    println!("  paper upper bound: Q ≥ c(2P+1−C)·Tmax for P ≤ C ≤ 2P; Q ≥ c·Tmax for C ≥ 2P");
-    println!("  paper lower bound: consensus impossible if Q ≤ max(1, 2P−C)");
-    println!("  grid: Q ∈ {TABLE1_QS:?}, {TABLE1_SEEDS} adversary seeds per probe ({jobs} jobs)");
-    println!();
-    println!("   P  C | paper-upper-shape  measured-min-Q | paper-lower  Fig6-witness");
-    println!("  ------+-----------------------------------+---------------------------");
-    let mut pcs = Vec::new();
-    for p in 1..=3u32 {
-        for c in p..=2 * p {
-            pcs.push((p, c));
-        }
-    }
-    let probed: Vec<Vec<Probe>> = run_cells(&pcs, jobs, |_, &(p, c)| {
-        TABLE1_QS.iter().map(|&q| probe(p, c, 3, 1, q, TABLE1_SEEDS)).collect()
-    });
-    let mut lines = Vec::new();
-    for (&(p, c), probes) in pcs.iter().zip(&probed) {
-        let min_q = probes.iter().find(|pr| pr.ok()).map(|pr| pr.q);
-        let measured = min_q.map_or_else(|| format!(">{}", TABLE1_QS[9]), |q| q.to_string());
-        let shape = if c >= 2 * p { "c".to_string() } else { format!("c·{}", 2 * p + 1 - c) };
-        let lower = 1u32.max(2u32.saturating_mul(p).saturating_sub(c));
-        let witness = if p >= 2 && c < 2 * p {
-            if fig6::construct(p, c).contradiction() {
-                "contradiction ✓"
-            } else {
-                "—"
-            }
-        } else if p == 1 {
-            "n/a (P = 1)"
-        } else {
-            "n/a (C = 2P)"
-        };
-        println!("   {p}  {c} | {shape:>17}  {measured:>14} | {lower:>11}  {witness}");
-        let mut cell_steps = 0u64;
-        let mut cell_wall = Duration::ZERO;
-        for pr in probes {
-            cell_steps += pr.steps;
-            cell_wall += pr.wall;
-            let mut obj = vec![
-                ("kind", Json::from("table1")),
-                ("cell", Json::obj([
-                    ("p", Json::from(p)),
-                    ("c", Json::from(c)),
-                    ("q", Json::from(pr.q)),
-                ])),
-                ("steps", Json::from(pr.steps)),
-                ("wall_ms", Json::from(wall_ms(pr.wall))),
-                ("verdict", Json::from(if pr.ok() { "ok" } else { "violation" })),
-                ("seeds_run", Json::from(pr.seeds_run)),
-            ];
-            if let Some(seed) = pr.fail_seed {
-                obj.push(("fail_seed", Json::from(seed)));
-            }
-            lines.push(Json::obj(obj));
-        }
-        lines.push(Json::obj([
-            ("kind", Json::from("table1_summary")),
-            ("cell", Json::obj([("p", Json::from(p)), ("c", Json::from(c))])),
-            ("steps", Json::from(cell_steps)),
-            ("wall_ms", Json::from(wall_ms(cell_wall))),
-            ("measured_min_q", min_q.map_or(Json::Null, Json::from)),
-            ("paper_lower", Json::from(lower)),
-            ("paper_upper_shape", Json::from(shape.as_str())),
-        ]));
-    }
-    println!();
-    println!("  measured-min-Q: smallest probed Q at which {TABLE1_SEEDS} adversary runs (M = 3, V = 1)");
-    println!("  all (a) agree, (b) satisfy the Lemma 3 access-failure bound, and");
-    println!("  (c) retain a deciding level. The series tracks the paper's");
-    println!("  c(2P+1−C) shape: it shrinks as C grows toward 2P.");
-    println!();
-    lines
 }
 
 fn obs() {

@@ -7,6 +7,12 @@
 //! at every decision point, deduplicating visited states by
 //! [`Kernel::state_hash`].
 //!
+//! There is one search loop and one visited set. [`explore`] is the
+//! one-worker case of [`explore_parallel`], run on the calling thread: a
+//! worker explores its own stack depth-first, claiming each state in a
+//! lock-free visited table, so with nobody to donate to, it visits states
+//! in plain serial DFS order.
+//!
 //! This turns the simulator into a bounded model checker: Lemma 1 of the
 //! paper ("each process returns the same value" for the Fig. 3 consensus
 //! algorithm) is verified here by exhaustive enumeration rather than by
@@ -20,8 +26,8 @@
 //!
 //! * **Parallel frontier sharding** ([`explore_parallel`]): workers on the
 //!   [`crate::sweep::pool`] pop subtree roots from a shared deque of forked
-//!   kernels and claim states exactly once in a global lock-free visited
-//!   table (one CAS on the state's own slot; the table grows only at the
+//!   kernels and claim states exactly once in the shared visited table
+//!   (one CAS on the state's own slot; the table grows only at the
 //!   workers' step-budget reservations). A worker that adopts a subtree
 //!   root from the deque gives it private reference counts, so the
 //!   per-state path writes no other shared cache line. [`ExploreStats`]
@@ -59,41 +65,13 @@
 //! for simulator states and would not be for adversarial input.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::kernel::{HashCfg, Kernel, StepAttempt};
 use crate::sweep;
 use crate::visited::VisitedTable;
-
-/// The dedup keys are already state hashes, so the visited set stores them
-/// under an identity "hasher" instead of re-hashing through SipHash on
-/// every insert. For 128-bit keys the two independent halves are folded,
-/// which keeps the bucket index uniformly distributed.
-#[derive(Default)]
-struct IdentityHasher(u64);
-
-impl Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the visited set holds only u64/u128 keys");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    fn write_u128(&mut self, v: u128) {
-        self.0 = (v as u64) ^ ((v >> 64) as u64);
-    }
-}
-
-type VisitedSet = HashSet<u128, BuildHasherDefault<IdentityHasher>>;
 
 /// A per-step decision script: at most three decisions resolve in one step
 /// (cpu, holder, first-credit), so forks carry a fixed array, not a `Vec`.
@@ -263,49 +241,20 @@ impl ExploreBounds {
 /// probability and the [`ExploreBounds::wide_hash`] mitigation.
 ///
 /// Returns the stats; [`ExploreStats::truncation`] reports whether (and
-/// why) any bound cut the search.
-pub fn explore<M, F>(kernel: &Kernel<M>, bounds: ExploreBounds, mut on_terminal: F) -> ExploreStats
+/// why) any bound cut the search. This is [`explore_parallel`] with one
+/// worker and no thread, so the visitor needs neither `Send` nor `Sync`
+/// and is called in DFS order.
+pub fn explore<M, F>(kernel: &Kernel<M>, bounds: ExploreBounds, on_terminal: F) -> ExploreStats
 where
     M: Clone + Hash,
     F: FnMut(&Kernel<M>) -> Verdict,
 {
-    explore_serial(kernel, bounds, &mut on_terminal)
-}
-
-fn explore_serial<M, F>(
-    kernel: &Kernel<M>,
-    bounds: ExploreBounds,
-    on_terminal: &mut F,
-) -> ExploreStats
-where
-    M: Clone + Hash,
-    F: FnMut(&Kernel<M>) -> Verdict,
-{
-    let mut stats = ExploreStats::default();
-    let mut seen = VisitedSet::default();
-    let mut root = kernel.clone();
-    root.track_state_hash_cfg(bounds.hash_cfg());
-    seen.insert(root.state_hash_wide());
-    // DFS over (kernel-state, partial decision script for the next step).
-    let mut stack: Vec<Work<M>> = vec![(root, Script::default(), 0)];
-    while let Some(w) = stack.pop() {
-        let gate = |st: &ExploreStats| {
-            if st.steps >= bounds.max_total_steps {
-                Gate::Stop(Some(Truncation::StepBound))
-            } else {
-                Gate::Go
-            }
-        };
-        let claim = |h| seen.insert(h);
-        if let Some(t) =
-            run_chain(w, &bounds, &mut stats, &mut stack, gate, claim, &mut *on_terminal)
-        {
-            stats.truncation = stats.truncation.max(t);
-            break;
-        }
-    }
-    stats.peak_visited = seen.len() as u64;
-    stats
+    // The one worker never runs the visitor reentrantly, so the borrow
+    // always succeeds; no thread is spawned, so nothing needs `Send`.
+    let on_terminal = RefCell::new(on_terminal);
+    let shared = SharedExplore::new(kernel, bounds, 1, |k: &Kernel<M>| (on_terminal.borrow_mut())(k));
+    shared.work();
+    shared.finish()
 }
 
 /// A worker's verdict before each step attempt of [`run_chain`].
@@ -398,13 +347,13 @@ type Work<M> = (Kernel<M>, Script, u64);
 /// Statements a worker reserves from the step budget at a time, so the
 /// per-step path writes nothing shared. Reservations never exceed
 /// [`ExploreBounds::max_total_steps`], and a worker that finds the budget
-/// spent hands its work to the others, so a step-bounded parallel run
-/// executes exactly the budget, as the serial explorer does. Every claim
+/// spent hands its work to the others, so a step-bounded run executes
+/// exactly the budget at every jobs count. Every claim
 /// follows a reserved step, so a worker claims at most this many states
 /// between reservations: the visited table's growth bound.
 const STEP_CHUNK: u64 = 1024;
 
-/// Shared state of one parallel exploration.
+/// The frontier of one exploration.
 struct Frontier<M> {
     /// Subtree roots available for any worker to claim.
     items: Vec<Work<M>>,
@@ -428,6 +377,8 @@ impl<M> Frontier<M> {
 #[repr(align(128))]
 struct Padded<T>(T);
 
+/// One exploration, shared by its workers: one for [`explore`], `jobs`
+/// for [`explore_parallel`].
 struct SharedExplore<M, F> {
     /// Read on every step and at every chain end, written about once per
     /// exploration: kept apart from the fields written at reservations.
@@ -444,6 +395,7 @@ struct SharedExplore<M, F> {
     /// Per-worker counters, folded in once as each worker exits, and the
     /// reason of any halt.
     totals: Mutex<ExploreStats>,
+    bounds: ExploreBounds,
     jobs: usize,
     on_terminal: F,
 }
@@ -523,6 +475,119 @@ impl<M, F> SharedExplore<M, F> {
     }
 }
 
+impl<M, F> SharedExplore<M, F>
+where
+    M: Clone + Hash,
+    F: Fn(&Kernel<M>) -> Verdict,
+{
+    /// An exploration of `kernel` for `jobs` workers: the root is claimed
+    /// in the visited table and is the frontier's only item.
+    fn new(kernel: &Kernel<M>, bounds: ExploreBounds, jobs: usize, on_terminal: F) -> Self {
+        let mut root = kernel.clone();
+        root.track_state_hash_cfg(bounds.hash_cfg());
+        let visited = VisitedTable::new(jobs, STEP_CHUNK);
+        visited.read().claim(root.state_hash_wide());
+        visited.publish(1);
+        SharedExplore {
+            stop: Padded(AtomicBool::new(false)),
+            idle_hint: Padded(AtomicUsize::new(0)),
+            queue: Mutex::new(Frontier { items: vec![(root, Script::default(), 0)], idle: 0 }),
+            cvar: Condvar::new(),
+            visited,
+            steps: AtomicU64::new(0),
+            totals: Mutex::new(ExploreStats::default()),
+            bounds,
+            jobs,
+            on_terminal,
+        }
+    }
+
+    /// One worker's loop, until global termination: explore local work
+    /// depth-first, adopt frontier work when out of it, and donate to idle
+    /// workers. Its counters are folded into the totals as it exits.
+    fn work(&self) {
+        let mut local: Vec<Work<M>> = Vec::new();
+        let mut st = ExploreStats::default();
+        // Statements this worker has reserved from the budget so far.
+        let mut reserved = 0u64;
+        // Fresh claims since this worker last published them, and its
+        // claim access to the visited table: held from one reservation to
+        // the next, dropped before blocking on the frontier.
+        let claims = Cell::new(0u64);
+        let claimer = RefCell::new(None);
+        loop {
+            self.donate(&mut local);
+            let w = match local.pop() {
+                Some(w) => w,
+                None => {
+                    claimer.replace(None);
+                    let Some(mut w) = self.global_pop() else {
+                        break;
+                    };
+                    // Adopted from another worker: stop sharing its
+                    // reference counts with that worker's kernels.
+                    w.0.unshare();
+                    w
+                }
+            };
+            if self.stopped() {
+                continue; // drain remaining work unexplored
+            }
+            if claimer.borrow().is_none() {
+                claimer.replace(Some(self.visited.read()));
+            }
+            let gate = |st: &ExploreStats| {
+                if self.stopped() {
+                    return Gate::Stop(None); // drain remaining work unexplored
+                }
+                if st.steps == reserved {
+                    // The table grows only here, with no claimer held.
+                    claimer.replace(None);
+                    match self.reserve(self.bounds.max_total_steps) {
+                        0 => return Gate::Stop(Some(Truncation::StepBound)),
+                        n => reserved += n,
+                    }
+                    claimer.replace(Some(self.visited.checkpoint(claims.take())));
+                }
+                Gate::Go
+            };
+            let claim = |h| {
+                let fresh =
+                    claimer.borrow().as_ref().expect("chains run with a claimer held").claim(h);
+                claims.set(claims.get() + u64::from(fresh));
+                fresh
+            };
+            match run_chain(w, &self.bounds, &mut st, &mut local, gate, claim, &self.on_terminal) {
+                None => {}
+                Some(Truncation::StepBound) => {
+                    self.retire(&mut local);
+                    break;
+                }
+                Some(t) => self.halt(t),
+            }
+        }
+        claimer.replace(None);
+        self.visited.publish(claims.get());
+        let mut t = self.totals.lock().expect("stats poisoned");
+        t.terminals += st.terminals;
+        t.steps += st.steps;
+        t.deduped += st.deduped;
+        t.por_pruned += st.por_pruned;
+        t.truncation = t.truncation.max(st.truncation);
+    }
+
+    /// The merged stats, once every worker has returned from
+    /// [`SharedExplore::work`]. Work left on the frontier went unexplored.
+    fn finish(self) -> ExploreStats {
+        let mut stats = self.totals.into_inner().expect("stats poisoned");
+        if !self.queue.into_inner().expect("frontier poisoned").items.is_empty() {
+            stats.truncation = stats.truncation.max(Truncation::StepBound);
+        }
+        stats.peak_visited = self.visited.len();
+        stats
+    }
+}
+
 /// [`explore`], fanned out over `jobs` workers of the
 /// [`crate::sweep::pool`] with a shared work frontier.
 ///
@@ -553,8 +618,9 @@ impl<M, F> SharedExplore<M, F> {
 /// the visitor may differ between runs (stats still match); compare
 /// permutation-invariant summaries.
 ///
-/// `jobs <= 1` runs the serial explorer inline — same code path, zero
-/// synchronization.
+/// `jobs <= 1` is [`explore`] itself, truncated runs included: the one
+/// worker runs on the calling thread, and with nobody idle it never
+/// donates, so it visits states in the serial DFS order.
 pub fn explore_parallel<M, F>(
     kernel: &Kernel<M>,
     bounds: ExploreBounds,
@@ -565,104 +631,10 @@ where
     M: Clone + Hash + Send,
     F: Fn(&Kernel<M>) -> Verdict + Sync,
 {
-    if jobs <= 1 {
-        let mut f = on_terminal;
-        return explore_serial(kernel, bounds, &mut f);
-    }
-    let mut root = kernel.clone();
-    root.track_state_hash_cfg(bounds.hash_cfg());
-    let visited = VisitedTable::new(jobs, STEP_CHUNK);
-    visited.read().claim(root.state_hash_wide());
-    visited.publish(1);
-    let shared = SharedExplore {
-        stop: Padded(AtomicBool::new(false)),
-        idle_hint: Padded(AtomicUsize::new(0)),
-        queue: Mutex::new(Frontier { items: vec![(root, Script::default(), 0)], idle: 0 }),
-        cvar: Condvar::new(),
-        visited,
-        steps: AtomicU64::new(0),
-        totals: Mutex::new(ExploreStats::default()),
-        jobs,
-        on_terminal,
-    };
-
-    sweep::pool(jobs, |_w| {
-        let mut local: Vec<Work<M>> = Vec::new();
-        let mut st = ExploreStats::default();
-        // Statements this worker has reserved from the budget so far.
-        let mut reserved = 0u64;
-        // Fresh claims since this worker last published them, and its
-        // claim access to the visited table: held from one reservation to
-        // the next, dropped before blocking on the frontier.
-        let claims = Cell::new(0u64);
-        let claimer = RefCell::new(None);
-        loop {
-            shared.donate(&mut local);
-            let w = match local.pop() {
-                Some(w) => w,
-                None => {
-                    claimer.replace(None);
-                    let Some(mut w) = shared.global_pop() else {
-                        break;
-                    };
-                    // Adopted from another worker: stop sharing its
-                    // reference counts with that worker's kernels.
-                    w.0.unshare();
-                    w
-                }
-            };
-            if shared.stopped() {
-                continue; // drain remaining work unexplored
-            }
-            if claimer.borrow().is_none() {
-                claimer.replace(Some(shared.visited.read()));
-            }
-            let gate = |st: &ExploreStats| {
-                if shared.stopped() {
-                    return Gate::Stop(None); // drain remaining work unexplored
-                }
-                if st.steps == reserved {
-                    // The table grows only here, with no claimer held.
-                    claimer.replace(None);
-                    match shared.reserve(bounds.max_total_steps) {
-                        0 => return Gate::Stop(Some(Truncation::StepBound)),
-                        n => reserved += n,
-                    }
-                    claimer.replace(Some(shared.visited.checkpoint(claims.take())));
-                }
-                Gate::Go
-            };
-            let claim = |h| {
-                let fresh =
-                    claimer.borrow().as_ref().expect("chains run with a claimer held").claim(h);
-                claims.set(claims.get() + u64::from(fresh));
-                fresh
-            };
-            match run_chain(w, &bounds, &mut st, &mut local, gate, claim, &shared.on_terminal) {
-                None => {}
-                Some(Truncation::StepBound) => {
-                    shared.retire(&mut local);
-                    break;
-                }
-                Some(t) => shared.halt(t),
-            }
-        }
-        claimer.replace(None);
-        shared.visited.publish(claims.get());
-        let mut t = shared.totals.lock().expect("stats poisoned");
-        t.terminals += st.terminals;
-        t.steps += st.steps;
-        t.deduped += st.deduped;
-        t.por_pruned += st.por_pruned;
-        t.truncation = t.truncation.max(st.truncation);
-    });
-
-    let mut stats = shared.totals.into_inner().expect("stats poisoned");
-    if !shared.queue.lock().expect("frontier poisoned").items.is_empty() {
-        stats.truncation = stats.truncation.max(Truncation::StepBound);
-    }
-    stats.peak_visited = shared.visited.len();
-    stats
+    let jobs = jobs.max(1);
+    let shared = SharedExplore::new(kernel, bounds, jobs, on_terminal);
+    sweep::pool(jobs, |_w| shared.work());
+    shared.finish()
 }
 
 /// Convenience wrapper: explores and asserts `property` at every terminal
@@ -855,6 +827,62 @@ mod tests {
                 assert_eq!(stats.steps, serial.steps, "jobs={jobs} budget={budget}");
                 assert_eq!(stats.truncation, serial.truncation, "jobs={jobs} budget={budget}");
             }
+        }
+    }
+
+    #[test]
+    fn serial_visit_order_is_the_dfs_order() {
+        // Pinned from the serial explorer before it became the one-worker
+        // case of the parallel loop.
+        let mut finals = Vec::new();
+        explore(&racing_kernel(), ExploreBounds::default(), |k| {
+            finals.push(k.mem);
+            Verdict::KeepGoing
+        });
+        assert_eq!(finals, vec![(1, 1), (1, 2), (2, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn truncated_serial_runs_are_pinned_and_match_one_job() {
+        let k = racing_kernel();
+        let stats = |terminals, steps, deduped, peak_visited, truncation| ExploreStats {
+            terminals,
+            steps,
+            deduped,
+            por_pruned: 0,
+            peak_visited,
+            truncation,
+        };
+        let step_bound = |max_total_steps| ExploreBounds { max_total_steps, ..ExploreBounds::default() };
+        // (bounds, stop at the n-th terminal, the serial stats pinned before
+        // the serial explorer became the one-worker case of the parallel one)
+        let cases = [
+            (step_bound(2), 0, stats(0, 2, 0, 3, Truncation::StepBound)),
+            (step_bound(8), 0, stats(1, 8, 1, 8, Truncation::StepBound)),
+            (step_bound(17), 0, stats(4, 16, 2, 15, Truncation::None)),
+            (
+                ExploreBounds { max_depth: 2, ..ExploreBounds::default() },
+                0,
+                stats(0, 6, 0, 3, Truncation::DepthBound),
+            ),
+            (ExploreBounds::default(), 2, stats(2, 8, 1, 8, Truncation::VisitorStop)),
+        ];
+        for (bounds, stop_at, pinned) in cases {
+            let mut seen = 0;
+            let serial = explore(&k, bounds, |_| {
+                seen += 1;
+                if seen == stop_at { Verdict::Stop } else { Verdict::KeepGoing }
+            });
+            assert_eq!(serial, pinned, "{bounds:?} stop at {stop_at}");
+            let seen = AtomicUsize::new(0);
+            let one_job = explore_parallel(&k, bounds, 1, |_| {
+                if seen.fetch_add(1, Ordering::Relaxed) + 1 == stop_at {
+                    Verdict::Stop
+                } else {
+                    Verdict::KeepGoing
+                }
+            });
+            assert_eq!(one_job, serial, "{bounds:?} stop at {stop_at}");
         }
     }
 

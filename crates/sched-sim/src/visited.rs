@@ -1,6 +1,6 @@
-//! The parallel explorer's visited set: an open-addressing table of
-//! 128-bit state keys in which concurrent workers claim each key exactly
-//! once, with one compare-and-swap on the key's own slot.
+//! The explorer's visited set, for one worker or many: an open-addressing
+//! table of 128-bit state keys in which concurrent workers claim each key
+//! exactly once, with one compare-and-swap on the key's own slot.
 //!
 //! # Slots
 //!
@@ -44,17 +44,25 @@ const HI_FLIP: u64 = 0xD6E8_FEB8_6659_FD93;
 /// A slot: the key's low half, and its flipped high half.
 type Slot = [AtomicU64; 2];
 
-/// Slots of address space every segment reserves. An allocation this
+/// Slots of address space a large segment reserves. An allocation this
 /// large (32 MiB, glibc's largest mmap threshold) is mapped directly by
 /// the system allocator and unmapped when freed, so the segments a growth
 /// frees return their memory at once instead of staying resident in an
 /// allocator heap, where they would inflate the process's peak for the
-/// rest of its life; only the slots in use are ever touched. A table
-/// thus holds 512 MiB of address space, not of memory.
+/// rest of its life; only the slots in use are ever touched. A large
+/// table thus holds 512 MiB of address space, not of memory.
 const SEGMENT_RESERVE: usize = (32 << 20) / std::mem::size_of::<Slot>();
 
+/// Segments below this many slots (128 KiB, glibc's default mmap
+/// threshold) are allocated at their exact size instead: most
+/// explorations are small, and a reservation costs an mmap/munmap pair
+/// per segment. The small segments that growths free stay in the heap,
+/// but all of them together come to less than 2 MiB.
+const RESERVE_FROM: usize = SEGMENT_RESERVE / 256;
+
 fn empty_segment(len: usize) -> Vec<Slot> {
-    let mut seg = Vec::with_capacity(len.max(SEGMENT_RESERVE));
+    let cap = if len < RESERVE_FROM { len } else { len.max(SEGMENT_RESERVE) };
+    let mut seg = Vec::with_capacity(cap);
     seg.extend(std::iter::repeat_with(|| [AtomicU64::new(EMPTY), AtomicU64::new(EMPTY)]).take(len));
     seg
 }
@@ -372,5 +380,38 @@ mod tests {
         assert!(claimer.claim(u128::MAX - 1));
         assert!(claimer.claim(0), "the all-zero key is a key too");
         assert!(!claimer.claim(0));
+    }
+
+    #[test]
+    fn one_thread_claims_are_exact_through_growths() {
+        let chunk = 64;
+        let mut keys: Vec<u128> = (1..=45_000u128)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_2545_F491_4F6C_DD1D))
+            .collect();
+        // Sentinel-hitting keys, spread through the claim order.
+        for i in 0..40u128 {
+            keys.insert(i as usize * 1_000, (i + 1) << 64);
+            keys.insert(i as usize * 1_000 + 500, (u128::from(HI_FLIP) << 64) | i);
+        }
+        let distinct = {
+            let mut d = keys.clone();
+            d.sort_unstable();
+            d.dedup();
+            d.len()
+        };
+        // Every key is attempted twice; the second pass finds them all.
+        let doubled: Vec<u128> = keys.iter().chain(keys.iter()).copied().collect();
+
+        let table = VisitedTable::new(1, chunk);
+        let start_bits = table.bits();
+        let fresh = claim_concurrently(&table, &doubled, 1, chunk);
+        assert!(table.bits() >= start_bits + 5, "{start_bits} → {}", table.bits());
+        assert_eq!(fresh.len(), distinct, "fresh claims equal the distinct count");
+        assert_eq!(table.len(), distinct as u64, "published claims equal the distinct count");
+        // A table this small allocates its segments at their exact size.
+        let slots = table.slots.read().unwrap();
+        let len = 1usize << (slots.bits - SEGMENT_BITS);
+        assert!(len < RESERVE_FROM);
+        assert!(slots.segments.iter().all(|seg| seg.len() == len && seg.capacity() == len));
     }
 }

@@ -14,11 +14,57 @@
 # Wall times live only in the gitignored `.timing.json` sidecars (and in
 # `perfbench/`). --jobs 4 runs above the CPU count of small hosts, so
 # parallel == serial is also tested oversubscribed.
+#
+# `scripts/check.sh --stress N` runs only the release build and then the
+# grid stage N times in a row, with one CPU-burning process per CPU
+# (`nproc` of them) running throughout, so every determinism claim is
+# checked under load as well. It stops at the first failing run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+stress=0
+if [[ ${1:-} == --stress ]]; then
+    stress=${2:-}
+    [[ $stress =~ ^[1-9][0-9]*$ ]] || { echo "usage: $0 [--stress N]" >&2; exit 2; }
+elif [[ $# -gt 0 ]]; then
+    echo "usage: $0 [--stress N]" >&2
+    exit 2
+fi
+
+run_dir="target/grid-run"
+
+# One run of every grid, then the byte-for-byte artifact gates.
+grid_stage() {
+    rm -rf "$run_dir" && mkdir -p "$run_dir"
+    (cd "$run_dir" && ../../target/release/experiments --jobs 4 > /dev/null)
+    for artifact in BENCH_*.json; do
+        [[ $artifact == *.timing.json ]] && continue # a local, gitignored sidecar
+        target/release/experiments --validate "$run_dir/$artifact"
+        target/release/experiments --validate "$run_dir/${artifact%.json}.timing.json"
+        cmp "$run_dir/$artifact" "$artifact"
+    done
+    # Both shrunk fuzz counterexamples, byte for byte (`diff -r` also
+    # catches a missing or extra trace).
+    diff -r "$run_dir/tests/golden/fuzz" tests/golden/fuzz
+}
+
 echo "== cargo build --release =="
 cargo build --release
+
+if ((stress > 0)); then
+    burners=()
+    trap 'kill "${burners[@]}" 2> /dev/null || true' EXIT
+    for _ in $(seq "$(nproc)"); do
+        (while :; do :; done) &
+        burners+=($!)
+    done
+    for i in $(seq "$stress"); do
+        echo "== stress run $i/$stress: every grid under ${#burners[@]} CPU burners =="
+        grid_stage
+    done
+    echo "All $stress stress runs passed."
+    exit 0
+fi
 
 echo "== cargo test -q (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo test -q
@@ -33,18 +79,7 @@ echo "== perfbench builds against this tree (lockfile unchanged) =="
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== every grid (experiments --jobs 4) + byte-for-byte artifact gates =="
-run_dir="target/grid-run"
-rm -rf "$run_dir" && mkdir -p "$run_dir"
-(cd "$run_dir" && ../../target/release/experiments --jobs 4 > /dev/null)
-for artifact in BENCH_*.json; do
-    [[ $artifact == *.timing.json ]] && continue # a local, gitignored sidecar
-    target/release/experiments --validate "$run_dir/$artifact"
-    target/release/experiments --validate "$run_dir/${artifact%.json}.timing.json"
-    cmp "$run_dir/$artifact" "$artifact"
-done
-# Both shrunk fuzz counterexamples, byte for byte (`diff -r` also catches a
-# missing or extra trace).
-diff -r "$run_dir/tests/golden/fuzz" tests/golden/fuzz
+grid_stage
 
 echo "== narrative sections, stdout byte for byte =="
 # These sections write no artifact; their printout is a pure function of

@@ -10,8 +10,11 @@
 
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use lowerbound::valency::bivalent_chain_depth;
-use sched_sim::explore::{explore, ExploreBounds, ExploreStats, Truncation, Verdict};
-use sched_sim::{Kernel, ProcessorId, Priority, Scenario, SystemSpec};
+use sched_sim::explore::{
+    explore, explore_parallel, ExploreBounds, ExploreStats, Truncation, Verdict,
+};
+use sched_sim::{Kernel, ProcessId, ProcessorId, Priority, Scenario, SystemSpec};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The Fig. 3 configuration used throughout the experiments: all processes
 /// on one processor, adversarial quantum alignment.
@@ -95,4 +98,87 @@ fn fig10_bivalent_chain_depths_pinned() {
         })
         .collect();
     assert_eq!(depths, vec![(1, 13), (2, 10), (4, 10), (8, 6)]);
+}
+
+/// One terminal as `"<outputs>:<P[1..3]>"`, one digit each (`_` = ⊥).
+fn terminal_summary(k: &Kernel<UniConsensusMem>) -> String {
+    let digit = |v: Option<u64>| v.map_or('_', |v| char::from_digit(v as u32, 10).unwrap());
+    let outs: String = (0..2).map(|p| digit(k.output(ProcessId(p)))).collect();
+    let cells: String = k.mem.p.iter().map(|&c| digit(c)).collect();
+    format!("{outs}:{cells}")
+}
+
+/// The serial explorer's terminal order on two-process Fig. 3, pinned
+/// from the dedicated serial DFS that `explore` replaced with the
+/// one-worker case of `explore_parallel`: the same states, in the same
+/// order.
+#[test]
+fn fig3_serial_terminal_order_pinned() {
+    let order = |q| {
+        let mut v = Vec::new();
+        explore(&fig3_kernel(q, &[(1, 1), (2, 1)]), ExploreBounds::default(), |k| {
+            v.push(terminal_summary(k));
+            Verdict::KeepGoing
+        });
+        v
+    };
+    assert_eq!(
+        order(MIN_QUANTUM),
+        [
+            "22:222", "22:222", "22:222", "11:211", "11:211", "11:211", "22:212", "22:122",
+            "11:111", "11:111", "11:111", "22:122", "22:122", "11:121",
+        ]
+    );
+    assert_eq!(
+        order(1),
+        [
+            "22:222", "22:222", "22:222", "22:122", "22:122", "22:122", "22:112", "12:111",
+            "11:111", "22:112", "12:112", "11:111", "12:121", "11:121", "22:122", "12:122",
+            "11:121", "11:111", "11:111", "22:212", "12:211", "11:211", "22:212", "12:212",
+            "11:211", "12:221", "11:221", "22:222", "12:222", "11:221", "11:211", "11:211",
+        ]
+    );
+}
+
+/// Truncated serial runs of Fig. 3 at Q = 1 (step budgets 2, half and
+/// full + 1, a depth bound, a visitor stop at the 10th terminal), pinned
+/// from the dedicated serial DFS, and equal to `explore_parallel` at one
+/// job on every field: both are now one code path.
+#[test]
+fn fig3_truncated_serial_stats_pinned_and_match_one_job() {
+    let k = fig3_kernel(1, &[(1, 1), (2, 1)]);
+    let stats = |terminals, steps, deduped, peak_visited, truncation| ExploreStats {
+        terminals,
+        steps,
+        deduped,
+        por_pruned: 0,
+        peak_visited,
+        truncation,
+    };
+    let step_bound = |max_total_steps| ExploreBounds { max_total_steps, ..ExploreBounds::default() };
+    let cases = [
+        (step_bound(2), 0, stats(0, 2, 0, 3, Truncation::StepBound)),
+        (step_bound(456), 0, stats(18, 456, 151, 306, Truncation::StepBound)),
+        (step_bound(913), 0, stats(32, 912, 322, 591, Truncation::None)),
+        (
+            ExploreBounds { max_depth: 6, ..ExploreBounds::default() },
+            0,
+            stats(0, 62, 12, 31, Truncation::DepthBound),
+        ),
+        (ExploreBounds::default(), 10, stats(10, 343, 121, 223, Truncation::VisitorStop)),
+    ];
+    for (bounds, stop_at, pinned) in cases {
+        let seen = AtomicU64::new(0);
+        let visitor = |_: &Kernel<UniConsensusMem>| {
+            if seen.fetch_add(1, Ordering::Relaxed) + 1 == stop_at {
+                Verdict::Stop
+            } else {
+                Verdict::KeepGoing
+            }
+        };
+        let serial = explore(&k, bounds, visitor);
+        assert_eq!(serial, pinned, "{bounds:?} stop at {stop_at}");
+        seen.store(0, Ordering::Relaxed);
+        assert_eq!(explore_parallel(&k, bounds, 1, visitor), serial, "{bounds:?} stop at {stop_at}");
+    }
 }
