@@ -57,6 +57,11 @@ pub(crate) fn token_seq(tok: Val) -> u32 {
 /// consensus objects (`log[k]`) decides which announced operation occupies
 /// slot `k`. The sequential state itself is **not** shared: every process
 /// replays the log privately.
+///
+/// The log is reserved up front but grows on first proposal: a slot is
+/// pushed by the statement that first proposes to it, which also decides
+/// it, so `log` is always the decided prefix. An object that only ever
+/// uses a quarter of its bound touches only a quarter of the memory.
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub struct UniversalMem<S: SeqSpec>
 where
@@ -67,7 +72,10 @@ where
     /// Announced pending operation of each process: `(token, op)`.
     pub announce: Vec<Option<(Val, S::Op)>>,
     /// The log: slot `k`'s consensus object decides an operation token.
+    /// Holds every slot proposed to so far, all of them decided.
     pub log: Vec<LocalConsensus>,
+    /// The most slots the log may grow to.
+    cap: usize,
     /// Every operation ever announced, by `(pid, seq)` — write-once, so
     /// replays never race with announce-array clearing.
     pub ops: Vec<Vec<S::Op>>,
@@ -81,15 +89,40 @@ where
     S::Op: std::hash::Hash + Eq,
 {
     /// Creates shared memory for `n` processes with room for `capacity`
-    /// log slots (one per operation that will ever be applied).
+    /// log slots (one per operation that will ever be applied). The log
+    /// is reserved, not written: its pages are touched only as slots are
+    /// first proposed to.
     pub fn new(n: u32, capacity: usize) -> Self {
         UniversalMem {
             n,
             announce: vec![None; n as usize],
-            log: vec![LocalConsensus::new(); capacity],
+            log: Vec::with_capacity(capacity),
+            cap: capacity,
             ops: vec![Vec::new(); n as usize],
             counters: AlgCounters::default(),
         }
+    }
+
+    /// The most slots the log may grow to: the `capacity` it was created
+    /// with.
+    pub fn log_bound(&self) -> usize {
+        self.cap
+    }
+
+    /// Proposes `proposal` to log slot `slot` and returns the slot's
+    /// decision. The first proposal to the slot one past the log's end
+    /// pushes it; a proposer's next slot is never further out, since it
+    /// has proposed to every slot below it.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is not below [`log_bound`](Self::log_bound).
+    pub(crate) fn decide(&mut self, slot: usize, proposal: Val) -> Val {
+        assert!(slot < self.cap, "universal log capacity exceeded");
+        if slot == self.log.len() {
+            self.log.push(LocalConsensus::new());
+        }
+        self.log[slot].decide(proposal)
     }
 
     /// The decided log prefix as operation tokens (oracle use).

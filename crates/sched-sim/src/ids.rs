@@ -4,7 +4,7 @@ use core::fmt;
 
 /// Identifies a process. Processes are numbered from 0 in creation order;
 /// the paper's `p`, `q`, `r` range over these.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
 
 impl ProcessId {
@@ -22,7 +22,7 @@ impl fmt::Display for ProcessId {
 
 /// Identifies a processor. The paper labels processors `1..P`; here they are
 /// numbered from 0.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessorId(pub u32);
 
 impl ProcessorId {

@@ -174,7 +174,7 @@ impl<M> Slot<M> {
             Slot::Owned(b) => &mut **b,
             Slot::Shared(a) => {
                 if Arc::get_mut(a).is_none() {
-                    *a = Arc::from(a.box_clone());
+                    *a = a.arc_clone();
                 }
                 Arc::get_mut(a).expect("a fresh copy has one holder")
             }
@@ -184,7 +184,7 @@ impl<M> Slot<M> {
     /// Switches an owned machine to copy-on-write sharing.
     fn share(&mut self) {
         if let Slot::Owned(b) = self {
-            *self = Slot::Shared(Arc::from(b.box_clone()));
+            *self = Slot::Shared(b.arc_clone());
         }
     }
 
@@ -418,9 +418,10 @@ pub struct Kernel<M> {
     /// any crash.
     crashable: bool,
     /// Reusable buffers for the per-step ready-cpu / candidate-holder
-    /// scans, so the hot step path performs no allocation.
-    scratch_cpus: Vec<ProcessorId>,
-    scratch_cands: Vec<ProcessId>,
+    /// scans, so the hot step path performs no allocation. Inline up to
+    /// eight entries, so a fork starts with them at no cost.
+    scratch_cpus: SmallVec<ProcessorId, 8>,
+    scratch_cands: SmallVec<ProcessId, 8>,
     /// Incremental state-hash bookkeeping: each process caches a key and a
     /// term, each processor the sum of its process terms and a term of its
     /// own (folding in its windows), and `hash_acc` is the sum of the
@@ -511,8 +512,8 @@ impl<M: Clone> Clone for Kernel<M> {
             lifecycle: self.lifecycle.clone(),
             lifecycle_cursor: self.lifecycle_cursor,
             crashable: self.crashable,
-            scratch_cpus: Vec::new(),
-            scratch_cands: Vec::new(),
+            scratch_cpus: SmallVec::new(),
+            scratch_cands: SmallVec::new(),
             track_hash: self.track_hash,
             hash_cfg: self.hash_cfg,
             hash_acc: self.hash_acc,
@@ -537,8 +538,8 @@ impl<M> Kernel<M> {
             lifecycle: Vec::new(),
             lifecycle_cursor: 0,
             crashable: false,
-            scratch_cpus: Vec::new(),
-            scratch_cands: Vec::new(),
+            scratch_cpus: SmallVec::new(),
+            scratch_cands: SmallVec::new(),
             track_hash: false,
             hash_cfg: HashCfg::default(),
             hash_acc: 0,
@@ -985,7 +986,7 @@ impl<M> Kernel<M> {
         // --- read-only phase: resolve all decisions ---
         // Ready-cpu options into a reusable buffer (no per-step
         // allocation), ascending because processors are walked in order.
-        let mut cpus = std::mem::take(&mut self.scratch_cpus);
+        let cpus = &mut self.scratch_cpus;
         cpus.clear();
         cpus.extend(
             self.cpus
@@ -995,27 +996,21 @@ impl<M> Kernel<M> {
                 .map(|(i, _)| ProcessorId(i as u32)),
         );
         if cpus.is_empty() {
-            self.scratch_cpus = cpus;
             return StepAttempt::Quiescent;
         }
         let cpu = if cpus.len() == 1 {
             cpus[0]
         } else {
-            match choose(Choice::Cpu { options: &cpus }, cpus.len()) {
+            match choose(Choice::Cpu { options: &cpus[..] }, cpus.len()) {
                 Some(i) => {
                     assert!(i < cpus.len(), "cpu choice out of range");
                     taken[n_taken] = (DecisionKind::Cpu, cpus.len(), i);
                     n_taken += 1;
                     cpus[i]
                 }
-                None => {
-                    let arity = cpus.len();
-                    self.scratch_cpus = cpus;
-                    return StepAttempt::NeedChoice { arity, kind: "cpu" };
-                }
+                None => return StepAttempt::NeedChoice { arity: cpus.len(), kind: "cpu" },
             }
         };
-        self.scratch_cpus = cpus;
         let prio = self.cpus[cpu.index()].top.expect("runnable cpu has a top priority");
         // Is there an open window at (cpu, prio) whose holder must continue?
         let win = self.cpus[cpu.index()]
@@ -1032,7 +1027,7 @@ impl<M> Kernel<M> {
             None => {
                 // Candidate-holder scan over this cpu's members (ascending
                 // pids), same reusable-buffer pattern.
-                let mut cands = std::mem::take(&mut self.scratch_cands);
+                let cands = &mut self.scratch_cands;
                 cands.clear();
                 cands.extend(
                     self.cpus[cpu.index()]
@@ -1047,7 +1042,7 @@ impl<M> Kernel<M> {
                     cands[0]
                 } else {
                     match choose(
-                        Choice::Holder { cpu, prio, options: &cands },
+                        Choice::Holder { cpu, prio, options: &cands[..] },
                         cands.len(),
                     ) {
                         Some(i) => {
@@ -1057,13 +1052,10 @@ impl<M> Kernel<M> {
                             cands[i]
                         }
                         None => {
-                            let arity = cands.len();
-                            self.scratch_cands = cands;
-                            return StepAttempt::NeedChoice { arity, kind: "holder" };
+                            return StepAttempt::NeedChoice { arity: cands.len(), kind: "holder" };
                         }
                     }
                 };
-                self.scratch_cands = cands;
                 let q = self.quantum.max(1);
                 let credit = if !self.procs[chosen.index()].ever_dispatched
                     && self.first_credit == FirstCreditMode::Adversarial
@@ -1261,7 +1253,18 @@ impl<M> Kernel<M> {
                 inv_index: self.procs[idx].machine_inv_index(),
                 output,
             };
-            Arc::make_mut(&mut self.ops).push(rec);
+            match Arc::get_mut(&mut self.ops) {
+                Some(ops) => ops.push(rec),
+                None => {
+                    // Shared with a fork: copy once, with room for `rec`
+                    // (`Arc::make_mut` would copy at exact length, then
+                    // regrow for the push).
+                    let mut ops = Vec::with_capacity(self.ops.len() + 1);
+                    ops.extend_from_slice(&self.ops);
+                    ops.push(rec);
+                    self.ops = Arc::new(ops);
+                }
+            }
         }
         if self.observing() {
             let inv_index =

@@ -2,6 +2,7 @@
 //! per [`StepMachine::step`] call.
 
 use core::hash::Hasher;
+use std::sync::Arc;
 
 use crate::ids::ProcessId;
 use crate::sym::{Interner, Sym};
@@ -191,6 +192,15 @@ pub trait StepMachine<M>: Send + Sync {
     /// Required so the exhaustive explorer can fork simulations at decision
     /// points.
     fn box_clone(&self) -> Box<dyn StepMachine<M>>;
+
+    /// Like [`StepMachine::box_clone`], but into an `Arc`: the copy a
+    /// kernel makes of a machine it shares copy-on-write with its forks.
+    /// The default boxes the copy and moves it into an `Arc`, two
+    /// allocations; a machine overrides it with `Arc::new(self.clone())`
+    /// to make it one.
+    fn arc_clone(&self) -> Arc<dyn StepMachine<M>> {
+        Arc::from(self.box_clone())
+    }
 
     /// Like [`StepMachine::box_clone`], but the copy also shares no
     /// reference-counted state with `self`, so the two can be cloned and

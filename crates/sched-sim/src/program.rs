@@ -520,6 +520,10 @@ where
         Box::new(self.clone())
     }
 
+    fn arc_clone(&self) -> Arc<dyn StepMachine<M>> {
+        Arc::new(self.clone())
+    }
+
     fn box_clone_unshared(&self) -> Box<dyn StepMachine<M>> {
         Box::new(ProgMachine { shared: Arc::new(Shared::clone(&self.shared)), ..self.clone() })
     }

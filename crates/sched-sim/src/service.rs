@@ -35,8 +35,11 @@
 //! its invocation, folded into allocation-free [`Hist`] histograms per
 //! shard and per priority level. Think invocations report no output and
 //! are excluded. Steady state allocates nothing: the engine pre-reserves
-//! the op log ([`Kernel::reserve_ops`]) and the factory pre-sizes the
-//! object's own arenas, per the PR 3 allocation-free discipline.
+//! the op log ([`Kernel::reserve_ops`]) and the factory reserves the
+//! object's own arenas, which grow on first use (the universal log on
+//! first proposal) within that reservation, per the PR 3 allocation-free
+//! discipline. [`Service::shard_kernel`] builds by move, so the
+//! reservations reach the kernel intact.
 
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};

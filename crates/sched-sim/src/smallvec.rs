@@ -1,9 +1,10 @@
 //! A vector that keeps its first few elements inline.
 //!
 //! Kernel forks copy every process's call stack and every processor's
-//! window list; those are almost always one or two elements long, so
-//! keeping them inline makes a fork allocate nothing for them. A vector
-//! that outgrows its inline capacity moves to the heap and stays there.
+//! window list, and start with the kernel's step scratch buffers; those
+//! are almost always a few elements long, so keeping them inline makes a
+//! fork allocate nothing for them. A vector that outgrows its inline
+//! capacity moves to the heap and stays there.
 
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -20,20 +21,25 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
         SmallVec::Inline { buf: [T::default(); N], len: 0 }
     }
 
+    #[inline]
     pub(crate) fn push(&mut self, x: T) {
         match self {
             SmallVec::Inline { buf, len } if *len < N => {
                 buf[*len] = x;
                 *len += 1;
             }
-            SmallVec::Inline { buf, len } => {
-                let mut v = Vec::with_capacity(2 * N);
-                v.extend_from_slice(&buf[..*len]);
-                v.push(x);
-                *self = SmallVec::Heap(v);
-            }
+            SmallVec::Inline { .. } => self.spill(x),
             SmallVec::Heap(v) => v.push(x),
         }
+    }
+
+    /// Moves a full inline vector to the heap and pushes `x` there.
+    #[cold]
+    fn spill(&mut self, x: T) {
+        let mut v = Vec::with_capacity(2 * N);
+        v.extend_from_slice(self);
+        v.push(x);
+        *self = SmallVec::Heap(v);
     }
 
     pub(crate) fn pop(&mut self) -> Option<T> {
@@ -66,6 +72,14 @@ impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
         match self {
             SmallVec::Inline { len, .. } => *len = 0,
             SmallVec::Heap(v) => v.clear(),
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Extend<T> for SmallVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for x in iter {
+            self.push(x);
         }
     }
 }

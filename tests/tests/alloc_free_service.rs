@@ -5,8 +5,9 @@
 //! append — performs **no heap allocation at all**.
 //!
 //! This is what makes the flagship `--service` runs (a million-plus
-//! invocations) allocation-free after setup: `session_mem` pre-sizes the
-//! shared log and per-process op arenas, and the engine pre-reserves the
+//! invocations) allocation-free after setup: `session_mem` reserves the
+//! shared log, and grows it on first proposal, and reserves the
+//! per-process op arenas, and the engine pre-reserves the
 //! kernel's invocation log (`Kernel::reserve_ops`) for the plan's expected
 //! invocation count. The counter object is used because its replica state
 //! is a plain word (`CounterSpec::apply` is arithmetic); the queue's
@@ -16,48 +17,18 @@
 //! counts process-wide, so a second concurrently-running test would
 //! pollute the measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hybrid_wf::service::{session_mem, OpGen, SessionMachine};
 use hybrid_wf::universal::{CounterSpec, UniversalMem};
+use integration_tests::CountingAlloc;
 use sched_sim::prelude::{Kernel, RoundRobin, Scenario, Service, ServiceSpec, SystemSpec};
 
-/// Wraps the system allocator, counting every allocation (alloc, realloc,
-/// alloc_zeroed). Deallocations are not counted — the contract is about
-/// acquiring memory on the hot path.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 /// One shard of a closed-loop counter service, exactly as the engine
-/// builds it: pre-sized shared memory, four session workers multiplexing
+/// builds it: reserved shared memory, four session workers multiplexing
 /// 64 clients, and the kernel's invocation log pre-reserved for the whole
 /// request volume. The request count is far beyond what the measurement
 /// windows consume, so the workload never quiesces mid-window.
@@ -101,11 +72,11 @@ fn service_inner_loop_does_not_allocate() {
 
     let mut allocated = 0;
     for _attempt in 0..3 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = GLOBAL.count();
         for _ in 0..1_000 {
             assert!(k.step(&mut decider).is_some(), "service workload must never quiesce here");
         }
-        allocated = ALLOCS.load(Ordering::Relaxed) - before;
+        allocated = GLOBAL.count() - before;
         if allocated == 0 {
             break;
         }

@@ -5,7 +5,8 @@
 //!
 //! This is the acceptance criterion for the allocation-free step path:
 //! labels are discarded without materialisation (`StepCtx` in discarding
-//! mode), the cpu/candidate scans reuse the kernel's scratch buffers, and
+//! mode), the cpu/candidate scans reuse the kernel's scratch buffers
+//! (inline in the kernel, so a fork has them too), and
 //! nothing on the statement path touches `String` or grows a `Vec` once
 //! the warmup has sized every reusable buffer.
 //!
@@ -23,47 +24,16 @@
 //! counts process-wide, so a second concurrently-running test would
 //! pollute the measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use hybrid_wf::multi::consensus::LocalMode;
+use integration_tests::CountingAlloc;
 use lowerbound::adversary::{fig7_kernel, MaxPreempt};
 use sched_sim::kernel::HashCfg;
 use sched_sim::machine::Footprint;
 use sched_sim::program::{Flow, ProgMachine, ProgramBuilder};
 use sched_sim::{Kernel, ProcessorId, Priority, RoundRobin, SystemSpec};
 
-/// Wraps the system allocator, counting every allocation (alloc, realloc,
-/// alloc_zeroed). Deallocations are not counted — the contract is about
-/// acquiring memory on the hot path.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 /// A nonterminating two-process workload on each of `cpus` processors:
 /// each process spins on a labelled counted statement, so every kernel
@@ -121,12 +91,12 @@ fn assert_steady_state_alloc_free(
 
     let mut allocated = 0;
     for _attempt in 0..3 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = GLOBAL.count();
         for _ in 0..1_000 {
             assert!(k.step(&mut decider).is_some(), "spin workload must never quiesce");
             per_step(k);
         }
-        allocated = ALLOCS.load(Ordering::Relaxed) - before;
+        allocated = GLOBAL.count() - before;
         if allocated == 0 {
             break;
         }
@@ -151,9 +121,9 @@ fn assert_fig7_run_alloc_free(q: u32, decider: &mut MaxPreempt) {
         let mut k = fig7_kernel(3, 3, 3, 1, q, LocalMode::Modeled);
         k.reserve_ops(k.n_processes());
         assert!(k.step(decider).is_some(), "a fresh Fig. 7 kernel has ready processes");
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = GLOBAL.count();
         let steps = k.run(decider, 1_000_000);
-        allocated = ALLOCS.load(Ordering::Relaxed) - before;
+        allocated = GLOBAL.count() - before;
         assert!(k.all_finished(), "Fig. 7 run at Q = {q} must finish");
         assert!(steps > 0, "statements must actually have executed");
         if allocated == 0 {

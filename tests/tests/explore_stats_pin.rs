@@ -6,9 +6,13 @@
 //! *what* is explored: terminals, total steps and dedup hits for the
 //! Fig. 3 consensus exploration, and the bivalent-chain depths of the
 //! Fig. 10 valency probe, must stay bit-identical to the pre-optimisation
-//! values captured at the parent commit.
+//! values captured at the parent commit. The universal construction's
+//! counter kernels are pinned the same way, from before its log stopped
+//! being written out in full when the memory is built.
 
+use hybrid_wf::service::session_mem;
 use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
+use hybrid_wf::universal::{op_machine, replay_final_state, CounterSpec, UniversalMem};
 use lowerbound::valency::bivalent_chain_depth;
 use sched_sim::explore::{
     explore, explore_parallel, ExploreBounds, ExploreStats, Truncation, Verdict,
@@ -180,5 +184,61 @@ fn fig3_truncated_serial_stats_pinned_and_match_one_job() {
         assert_eq!(serial, pinned, "{bounds:?} stop at {stop_at}");
         seen.store(0, Ordering::Relaxed);
         assert_eq!(explore_parallel(&k, bounds, 1, visitor), serial, "{bounds:?} stop at {stop_at}");
+    }
+}
+
+/// Three counter clients of the universal construction, two increments
+/// each, at Q = 8, client `i` on processor `cpus[i]` at priority
+/// `prios[i]`.
+fn universal_kernel(
+    mem: UniversalMem<CounterSpec>,
+    cpus: [u32; 3],
+    prios: [u32; 3],
+) -> Kernel<UniversalMem<CounterSpec>> {
+    let mut s = Scenario::new(mem, SystemSpec::hybrid(8));
+    for pid in 0..3 {
+        s.add_process(
+            ProcessorId(cpus[pid as usize]),
+            Priority(prios[pid as usize]),
+            Box::new(op_machine(CounterSpec, pid, 3, vec![1, 1])),
+        );
+    }
+    s.into_kernel()
+}
+
+/// The explorer's view of the universal construction's shared log, on
+/// both ways of building the memory: `UniversalMem::new` with room for
+/// `4·ops + 4` slots, and the service's `session_mem`. Three layouts: one
+/// processor at equal priority, one processor at priorities `[1, 2, 1]`,
+/// and two processors (clients 0 and 2 on the first, client 1 on the
+/// second, client 2 at priority 2). Pinned before the log stopped being
+/// written out in full up front; every terminal must replay to the exact
+/// sum of the six increments.
+#[test]
+fn universal_counter_stats_pinned() {
+    let explored = |mem: UniversalMem<CounterSpec>, cpus, prios| {
+        explore(&universal_kernel(mem, cpus, prios), ExploreBounds::default(), |k| {
+            assert!(k.all_finished());
+            assert_eq!(replay_final_state(&CounterSpec, &k.mem), 6);
+            Verdict::KeepGoing
+        })
+    };
+    let stats = |terminals, steps, deduped, peak_visited| ExploreStats {
+        terminals,
+        steps,
+        deduped,
+        por_pruned: 0,
+        peak_visited,
+        truncation: Truncation::None,
+    };
+    for (cpus, prios, pinned) in [
+        ([0, 0, 0], [1, 1, 1], stats(90, 1296, 0, 1297)),
+        ([0, 0, 0], [1, 2, 1], stats(6, 86, 0, 87)),
+        ([0, 1, 0], [1, 1, 2], stats(67, 2571, 945, 1627)),
+    ] {
+        let presized = explored(UniversalMem::new(3, 4 * 6 + 4), cpus, prios);
+        let session = explored(session_mem(&[2, 2, 2]), cpus, prios);
+        assert_eq!(presized, pinned, "{cpus:?} {prios:?}, UniversalMem::new");
+        assert_eq!(session, pinned, "{cpus:?} {prios:?}, session_mem");
     }
 }
