@@ -1,24 +1,23 @@
-//! The paper's algorithms written **once**, generic over
-//! [`wfmem::backend::MemBackend`].
+//! The paper's object interfaces and the universal construction written
+//! **once**, generic over [`wfmem::backend::MemBackend`].
 //!
 //! Everything else in this crate is a statement-level machine (mostly
-//! `ProgMachine` programs): ideal for the simulator's exhaustive explorer and deterministic
-//! replay, but unable to run on two hardware threads. This module is the
-//! other half of the backend split (see `BACKENDS.md`): direct-style
-//! implementations of Fig. 3 consensus, the Fig. 5-interface C&S + Read
-//! object, and the Herlihy universal construction, written against the
-//! [`MemBackend`] cell vocabulary so the *same function bodies* execute on
+//! `ProgMachine` programs): ideal for the simulator's exhaustive explorer
+//! and deterministic replay. This module is the other half of the backend
+//! split (see `BACKENDS.md`): direct-style implementations of the Fig.
+//! 5-interface C&S + Read object and the Herlihy universal construction,
+//! written against the [`MemBackend`] cell vocabulary so the *same
+//! function bodies* execute on
 //!
-//! * [`wfmem::SimBackend`] — sequential, deterministic, step-counted (the
-//!   cross-check against the statement-level machines), and
+//! * [`wfmem::SimBackend`] — sequential, deterministic, step-counted, and
 //! * the `native` crate's backends — real `std::sync::atomic` cells on OS
 //!   threads, either freely scheduled or under the deterministic lockstep
 //!   scheduler that enforces the paper's hybrid axioms.
 //!
-//! Step accounting is preserved exactly: [`fig3_decide`] performs eight
-//! counted statements per invocation — the same
-//! [`STATEMENTS_PER_DECIDE`](crate::uni::consensus::STATEMENTS_PER_DECIDE)
-//! the Lemma 1 analysis and the `Q ≥ 8` threshold rest on.
+//! Fig. 3 consensus has no copy here: the `native` harness runs the
+//! statement-level program of [`crate::uni::consensus`] itself on each
+//! thread, over atomic registers, taking one scheduler grant per
+//! statement — the eight statements the explorer verifies.
 //!
 //! # What stays simulator-only
 //!
@@ -36,52 +35,6 @@ use wfmem::Val;
 
 use crate::oracle::{CasRegOp, CasRegisterSpec, QueueOp, SeqSpec};
 use crate::universal::CounterSpec;
-
-// ---------------------------------------------------------------------------
-// Fig. 3 — consensus from reads and writes
-// ---------------------------------------------------------------------------
-
-/// The shared state of one Fig. 3 consensus object: `P[1..3]`, all `⊥`.
-pub struct Fig3Cell<B: MemBackend> {
-    /// The paper's `P[1..3]`.
-    pub p: [B::Reg; 3],
-}
-
-impl<B: MemBackend> Fig3Cell<B> {
-    /// Allocates the three-slot array on `backend`.
-    pub fn new(backend: &B) -> Self {
-        Fig3Cell { p: [backend.reg(), backend.reg(), backend.reg()] }
-    }
-}
-
-/// Fig. 3 `decide(val)`: wait-free consensus from reads and writes.
-///
-/// The body is the paper's eight atomic statements, with the backend's
-/// step hook marking each one: statement 1 (`v := val`, a *counted local*
-/// statement, hence the explicit [`step`](MemBackend::step)), then per
-/// slot a read (statement 3) and a test-or-write (statements 4–6 — one
-/// counted statement whichever branch runs), then the final read
-/// (statement 7). On a hybrid-scheduled backend with `Q ≥ 8` each process
-/// is preempted at most once per invocation, which is Lemma 1's
-/// hypothesis; on a freely-scheduled native backend no such bound exists
-/// and agreement **can** fail — that failure is measured, not assumed
-/// away (see EXPERIMENTS.md, "Native execution").
-pub fn fig3_decide<B: MemBackend>(backend: &B, cell: &Fig3Cell<B>, val: Val) -> Val {
-    backend.step(); // 1: v := val (counted local statement)
-    let mut v = val;
-    for slot in &cell.p {
-        let w = slot.read(); // 3: w := P[i]
-        match w {
-            Some(w) => {
-                backend.step(); // 4-5: if w ≠ ⊥ then v := w (counted local)
-                v = w;
-            }
-            None => slot.write(v), // 4,6: else P[i] := v
-        }
-    }
-    // 7: return P[3]
-    cell.p[2].read().expect("P[3] is set before any process reaches statement 7")
-}
 
 // ---------------------------------------------------------------------------
 // Fig. 5 interface — C&S + Read
@@ -369,27 +322,7 @@ impl<S: SeqSpec> UniversalSession<S> {
 mod tests {
     use super::*;
     use crate::oracle::{QueueSpec, EMPTY};
-    use crate::uni::consensus::STATEMENTS_PER_DECIDE;
     use wfmem::SimBackend;
-
-    #[test]
-    fn fig3_sequential_first_process_wins() {
-        let b = SimBackend::new();
-        let cell = Fig3Cell::new(&b);
-        assert_eq!(fig3_decide(&b, &cell, 10), 10);
-        assert_eq!(fig3_decide(&b, &cell, 20), 10);
-        assert_eq!(fig3_decide(&b, &cell, 30), 10);
-    }
-
-    #[test]
-    fn fig3_counts_exactly_eight_statements_per_decide() {
-        let b = SimBackend::new();
-        let cell = Fig3Cell::new(&b);
-        fig3_decide(&b, &cell, 5);
-        assert_eq!(b.steps(), u64::from(STATEMENTS_PER_DECIDE));
-        fig3_decide(&b, &cell, 6);
-        assert_eq!(b.steps(), 2 * u64::from(STATEMENTS_PER_DECIDE));
-    }
 
     #[test]
     fn cas_object_interface() {

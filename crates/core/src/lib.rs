@@ -35,10 +35,12 @@
 //! * [`service`] — long-lived worker sessions over the same construction:
 //!   on-demand operation generation for multiplexed clients and optional
 //!   think-time, the machine behind `experiments --service`.
-//! * [`generic`] — Fig. 3, the Fig. 5 object interface, and the universal
+//! * [`generic`] — the Fig. 5 object interface and the universal
 //!   construction written once against [`wfmem::backend::MemBackend`], so
 //!   the same function bodies run on the deterministic simulator cells
 //!   and on the `native` crate's real-atomics backends (see BACKENDS.md).
+//!   Fig. 3 needs no such copy: the `native` crate runs the
+//!   [`uni::consensus`] program itself over atomic registers.
 //! * [`baseline`] — comparators: an exponential-space priority-only
 //!   construction in the style of Ramamurthy–Moir–Anderson, and lock-based
 //!   objects.

@@ -30,6 +30,11 @@
 //! uniprocessor, for any number of processes and any number of priority
 //! levels.
 //!
+//! The statements reach `P[1..3]` only through [`ConsensusRegs`], so the
+//! program the explorer verifies is also the one the `native` crate runs
+//! on OS threads over atomic registers ([`decide_program`] is generic over
+//! the memory), one scheduler grant per statement.
+//!
 //! The test suite verifies Lemma 1 by **exhaustive enumeration** of every
 //! well-formed schedule for small configurations (the mechanized analogue
 //! of the paper's Fig. 4 case analysis), and verifies tightness by finding
@@ -44,6 +49,32 @@ use wfmem::Val;
 /// The three-slot shared state of one Fig. 3 consensus object
 /// (`P[1..3]`, all initially `⊥`).
 pub type ConsensusCell = [Option<Val>; 3];
+
+/// The paper's `P[1..3]` as the `decide` statements see it: three
+/// registers, each holding a value or `⊥`, indexed `0..3`.
+///
+/// [`append_decide`] and [`append_read`] reach their object only through
+/// this trait, so one statement list runs on the simulator's
+/// [`ConsensusCell`] and on the `native` crate's atomic registers alike.
+/// Each method is one register access inside one counted statement; an
+/// implementation does no step accounting of its own.
+pub trait ConsensusRegs {
+    /// Reads `P[i + 1]` (`None` is `⊥`).
+    fn read(&self, i: usize) -> Option<Val>;
+
+    /// Writes `v` to `P[i + 1]`.
+    fn write(&mut self, i: usize, v: Val);
+}
+
+impl ConsensusRegs for ConsensusCell {
+    fn read(&self, i: usize) -> Option<Val> {
+        self[i]
+    }
+
+    fn write(&mut self, i: usize, v: Val) {
+        self[i] = Some(v);
+    }
+}
 
 /// Per-process scratch registers used by a `decide` invocation
 /// (the paper's private variables `v`, `w` plus the loop index).
@@ -73,17 +104,17 @@ pub struct DecideScratch {
 ///   disjoint objects. Must **over-approximate**: callers selecting the
 ///   cell dynamically pass `u64::MAX` (whole memory — always sound, still
 ///   commutes against purely-local steps);
-/// * `cell` — selects the three-slot array (`P[1..3]`) to operate on;
+/// * `cell` — selects the three registers (`P[1..3]`) to operate on;
 /// * `input` — reads the proposal (`val`) from the locals;
 /// * `scratch` — projects the [`DecideScratch`] out of the locals.
 ///
 /// The decided value is left in `scratch.ret` when the procedure returns.
 /// The procedure body is exactly eight counted atomic statements.
-pub fn append_decide<L, M>(
+pub fn append_decide<L, M, C: ConsensusRegs + 'static>(
     b: &mut ProgramBuilder<L, M>,
     name: &str,
     cell_mask: u64,
-    cell: impl for<'a> Fn(&'a mut M, &L) -> &'a mut ConsensusCell + Send + Sync + 'static,
+    cell: impl for<'a> Fn(&'a mut M, &L) -> &'a mut C + Send + Sync + 'static,
     input: impl Fn(&L) -> Val + Send + Sync + 'static,
     scratch: impl Fn(&mut L) -> &mut DecideScratch + Send + Sync + 'static,
 ) -> ProcRef
@@ -113,7 +144,7 @@ where
         let cell = cell.clone();
         b.stmt_fp(p, "3: w := P[i]", Footprint::reads(cell_mask), move |l, m| {
             let i = scratch(l).i as usize;
-            let w = cell(m, l)[i - 1];
+            let w = cell(m, l).read(i - 1);
             scratch(l).w = w;
             Flow::Next
         });
@@ -126,9 +157,7 @@ where
             let (i, v, w) = (s.i as usize, s.v, s.w);
             match w {
                 Some(w) => scratch(l).v = w,
-                None => {
-                    cell(m, l)[i - 1] = Some(v);
-                }
+                None => cell(m, l).write(i - 1, v),
             }
             let s = scratch(l);
             s.i += 1;
@@ -143,7 +172,7 @@ where
         let scratch = scratch.clone();
         let cell = cell.clone();
         b.stmt_fp(p, "7: return P[3]", Footprint::reads(cell_mask), move |l, m| {
-            let r = cell(m, l)[2];
+            let r = cell(m, l).read(2);
             debug_assert!(r.is_some(), "P[3] must be set when statement 7 runs");
             scratch(l).ret = r;
             Flow::Return
@@ -159,11 +188,11 @@ where
 /// proposal must be readable from `&L`). On return, `scratch.ret` holds the
 /// decided value, or `None` if the object was undecided at the read of
 /// `P[1]`.
-pub fn append_read<L, M>(
+pub fn append_read<L, M, C: ConsensusRegs + 'static>(
     b: &mut ProgramBuilder<L, M>,
     name: &str,
     cell_mask: u64,
-    cell: impl for<'a> Fn(&'a mut M, &L) -> &'a mut ConsensusCell + Send + Sync + Clone + 'static,
+    cell: impl for<'a> Fn(&'a mut M, &L) -> &'a mut C + Send + Sync + Clone + 'static,
     scratch: impl Fn(&mut L) -> &mut DecideScratch + Send + Sync + Clone + 'static,
     peek_scratch: impl Fn(&L) -> &DecideScratch + Send + Sync + 'static,
 ) -> ProcRef
@@ -182,7 +211,7 @@ where
     );
     let p = b.proc(name);
     b.stmt_fp(p, "read: if P[1] = ⊥ then return ⊥ else decide(P[1])", Footprint::reads(cell_mask), move |l, m| {
-        let w = cell(m, l)[0];
+        let w = cell(m, l).read(0);
         let s = scratch(l);
         s.w = w;
         match w {
@@ -204,6 +233,16 @@ pub struct UniConsensusMem {
     pub p: ConsensusCell,
 }
 
+impl ConsensusRegs for UniConsensusMem {
+    fn read(&self, i: usize) -> Option<Val> {
+        self.p.read(i)
+    }
+
+    fn write(&mut self, i: usize, v: Val) {
+        self.p.write(i, v);
+    }
+}
+
 /// Locals for a standalone `decide` process.
 #[derive(Clone, Debug, Default, Hash, PartialEq, Eq)]
 pub struct UniConsensusLocals {
@@ -221,14 +260,20 @@ pub const STATEMENTS_PER_DECIDE: u32 = 8;
 /// quantum-preempted at most once per invocation.
 pub const MIN_QUANTUM: u32 = STATEMENTS_PER_DECIDE;
 
-/// Builds the standalone `decide` program.
-pub fn decide_program() -> (Arc<Program<UniConsensusLocals, UniConsensusMem>>, ProcRef) {
+/// Builds the standalone `decide` program over a memory that is one
+/// consensus object: [`UniConsensusMem`] on the simulator, or the `native`
+/// crate's three atomic registers on OS threads. Both run these same
+/// eight statements.
+pub fn decide_program<M>() -> (Arc<Program<UniConsensusLocals, M>>, ProcRef)
+where
+    M: ConsensusRegs + 'static,
+{
     let mut b = ProgramBuilder::new();
     let p = append_decide(
         &mut b,
         "decide",
         0b1, // the standalone memory is a single consensus cell
-        |m: &mut UniConsensusMem, _l: &UniConsensusLocals| &mut m.p,
+        |m: &mut M, _l: &UniConsensusLocals| m,
         |l| l.val,
         |l| &mut l.s,
     );

@@ -15,65 +15,15 @@ use hybrid_wf::multi::consensus::{decide_machine, LocalMode, MultiMem};
 use hybrid_wf::multi::failures::{lemma3_bound_holds, summarize};
 use hybrid_wf::multi::ports::PortLayout;
 use hybrid_wf::Val;
-use sched_sim::decision::{Choice, Decider, SeededRandom};
-use sched_sim::rng::SplitMix64;
-use sched_sim::ids::{ProcessId, ProcessorId, Priority};
-use sched_sim::kernel::{Kernel, SystemSpec};
+use sched_sim::decision::{Decider, SeededRandom};
+use sched_sim::fuzz::PreemptionStorm;
+use sched_sim::ids::{ProcessorId, Priority};
+use sched_sim::kernel::SystemSpec;
 use sched_sim::report::{wall_ms, Json};
 use sched_sim::scenario::Scenario;
 use sched_sim::sweep::run_cells;
 
 use crate::fig6;
-
-/// A preemption-maximizing decider: randomizes processor interleaving,
-/// rotates quantum holders aggressively (guaranteeing a same-priority
-/// preemption at every window boundary), and always chooses the shortest
-/// first window (every first dispatch sits one statement before a quantum
-/// boundary).
-#[derive(Clone, Debug)]
-pub struct MaxPreempt {
-    rng: SplitMix64,
-    last_holder: Vec<(u32, u32, ProcessId)>,
-}
-
-impl MaxPreempt {
-    /// Creates the adversary with the given seed.
-    pub fn new(seed: u64) -> Self {
-        MaxPreempt { rng: SplitMix64::new(seed), last_holder: Vec::new() }
-    }
-}
-
-impl Decider for MaxPreempt {
-    fn choose(&mut self, choice: Choice<'_>, n: usize) -> usize {
-        match choice {
-            Choice::Cpu { .. } => self.rng.index(n),
-            Choice::Holder { cpu, prio, options } => {
-                // Never re-pick the previous holder if any alternative is
-                // ready: maximize same-priority preemptions.
-                let key = (cpu.0, prio.0);
-                let last = self
-                    .last_holder
-                    .iter()
-                    .find(|(c, p, _)| (*c, *p) == key)
-                    .map(|(_, _, h)| *h);
-                // Uniform among the alternatives: draw the k-th one, in
-                // place (this runs at every holder decision).
-                let alternatives = || (0..n).filter(|&i| Some(options[i]) != last);
-                let idx = match alternatives().count() {
-                    0 => 0,
-                    count => alternatives().nth(self.rng.index(count)).expect("k < count"),
-                };
-                match self.last_holder.iter_mut().find(|(c, p, _)| (*c, *p) == key) {
-                    Some(entry) => entry.2 = options[idx],
-                    None => self.last_holder.push((key.0, key.1, options[idx])),
-                }
-                idx
-            }
-            // Shortest first window: preempt as early as possible.
-            Choice::FirstCredit { .. } => 0,
-        }
-    }
-}
 
 /// The standard Fig. 7 workload for threshold experiments, as a reusable
 /// [`Scenario`]: `M` processes per processor across `V` priority levels,
@@ -110,26 +60,13 @@ pub fn fig7_scenario(
     s
 }
 
-/// The Fig. 7 workload as a live [`Kernel`] — [`fig7_scenario`] is the
-/// front door; this remains for callers that drive the kernel directly.
-pub fn fig7_kernel(
-    p: u32,
-    c: u32,
-    m: u32,
-    v: u32,
-    q: u32,
-    mode: LocalMode,
-) -> Kernel<MultiMem> {
-    fig7_scenario(p, c, m, v, q, mode).into_kernel()
-}
-
 /// The standard adversary pairing for seed sweeps: even seeds get the
-/// holder-rotating [`MaxPreempt`] (maximizes quantum preemptions), odd
+/// holder-rotating [`PreemptionStorm`] (maximizes quantum preemptions), odd
 /// seeds uniformly random [`SeededRandom`] (finds irregular placements the
 /// rotator's strict alternation misses).
 pub fn adversary_for_seed(seed: u64) -> Box<dyn Decider> {
     if seed % 2 == 0 {
-        Box::new(MaxPreempt::new(seed))
+        Box::new(PreemptionStorm::new(seed))
     } else {
         Box::new(SeededRandom::new(seed))
     }
@@ -272,6 +209,7 @@ pub fn table1_rows(jobs: usize) -> Vec<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sched_sim::ids::ProcessId;
 
     #[test]
     fn generous_quantum_never_violates() {
@@ -291,12 +229,8 @@ mod tests {
             let mut max_run = 0u32;
             let mut lemma3_violated = false;
             for seed in 0..150 {
-                let mut k = fig7_kernel(2, 2, 3, 1, q, LocalMode::Modeled);
-                let mut mp = MaxPreempt::new(seed);
-                let mut sr = SeededRandom::new(seed);
-                let d: &mut dyn Decider =
-                    if seed % 2 == 0 { &mut mp } else { &mut sr };
-                k.run(d, 50_000_000);
+                let mut k = fig7_scenario(2, 2, 3, 1, q, LocalMode::Modeled).into_kernel();
+                k.run(&mut *adversary_for_seed(seed), 50_000_000);
                 assert!(k.all_finished());
                 let s = summarize(&k.mem);
                 total += s.same + s.diff;
@@ -319,10 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn max_preempt_is_reproducible() {
+    fn preemption_storm_is_reproducible() {
         let run = |seed| {
-            let mut k = fig7_kernel(2, 3, 2, 1, 8, LocalMode::Modeled);
-            let mut d = MaxPreempt::new(seed);
+            let mut k = fig7_scenario(2, 3, 2, 1, 8, LocalMode::Modeled).into_kernel();
+            let mut d = PreemptionStorm::new(seed);
             k.run(&mut d, 1_000_000);
             (0..k.n_processes() as u32)
                 .map(|p| k.output(ProcessId(p)))

@@ -40,12 +40,12 @@ use hybrid_wf::oracle::{
     check_linearizable, check_linearizable_traced, timed_ops, CasRegOp, CasRegisterSpec,
 };
 use hybrid_wf::uni::cas::{op_machine as cas_machine, CasMem, CasOp};
-use hybrid_wf::uni::consensus::{decide_machine as fig3_decide, UniConsensusMem, MIN_QUANTUM};
+use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use hybrid_wf::universal::{
     op_machine as universal_machine, replay_final_state, CounterSpec, UniversalMem,
 };
 use hybrid_wf::Val;
-use sched_sim::decision::{Decider, Scripted, SeededRandom};
+use sched_sim::decision::{Decider, Scripted};
 use sched_sim::fuzz::{hostile, Recording, HOSTILE_NAMES};
 use sched_sim::ids::{ProcessorId, Priority};
 use sched_sim::kernel::SystemSpec;
@@ -56,7 +56,6 @@ use sched_sim::scenario::{RunResult, Scenario};
 use sched_sim::shrink::shrink_script;
 use sched_sim::sweep::run_cells;
 
-use crate::adversary::MaxPreempt;
 use crate::crash::CrashPlan;
 
 /// An algorithm family under fuzz.
@@ -208,23 +207,6 @@ pub fn case_specs() -> Vec<CaseSpec> {
         .collect()
 }
 
-/// Decider lineup for the fuzz grid: the four hostile deciders from
-/// [`sched_sim::fuzz`] plus the Theorem 3 adversary and a seeded-uniform
-/// control, both reused from [`crate::adversary`].
-pub const DECIDERS: [&str; 6] =
-    [HOSTILE_NAMES[0], HOSTILE_NAMES[1], HOSTILE_NAMES[2], HOSTILE_NAMES[3], "maxpreempt", "random"];
-
-/// Builds a decider from the [`DECIDERS`] lineup. `n_procs` is the process
-/// count of the target scenario (used by the crash adversary to pick its
-/// victim).
-pub fn build_decider(name: &str, seed: u64, n_procs: u32) -> Box<dyn Decider> {
-    match name {
-        "maxpreempt" => Box::new(MaxPreempt::new(seed)),
-        "random" => Box::new(SeededRandom::new(seed)),
-        other => hostile(other, seed, n_procs),
-    }
-}
-
 /// Outcome of one fuzz run (or replay).
 #[derive(Clone, Debug)]
 pub struct CaseRun {
@@ -293,7 +275,7 @@ pub fn engine(family: Family, q: u32) -> Box<dyn CaseEngine> {
             )
             .step_budget(200_000);
             for v in INPUTS {
-                s.add_process(ProcessorId(0), Priority(1), Box::new(fig3_decide(v)));
+                s.add_process(ProcessorId(0), Priority(1), Box::new(decide_machine(v)));
             }
             boxed(
                 s,
@@ -645,7 +627,7 @@ pub fn fuzz_cell(spec: &CaseSpec, decider: &str, seeds: u64) -> CellReport {
         first: None,
     };
     for seed in 0..seeds {
-        let mut d = build_decider(decider, seed, eng.n_procs());
+        let mut d = hostile(decider, seed, eng.n_procs());
         let run = eng.run_with(&mut *d);
         report.runs += 1;
         report.steps += run.steps;
@@ -671,23 +653,23 @@ pub const KEYS: &[(&str, Kind)] =
     &[("violations", Kind::Num), ("expect", Kind::Str), ("verdict", Kind::Str)];
 
 /// Runs the fuzz grid: every [`case_specs`] spec under every decider in
-/// [`DECIDERS`] for [`SEEDS`] seeds each, over `jobs` sweep workers. Each
-/// spec's verdict compares its total violation count with the paper's
-/// prediction ([`Expect::verdict`]). The first violation of each violating
-/// spec is delta-debugged ([`shrink_and_capture`]) and written as a
+/// [`HOSTILE_NAMES`] for [`SEEDS`] seeds each, over `jobs` sweep workers.
+/// Each spec's verdict compares its total violation count with the
+/// paper's prediction ([`Expect::verdict`]). The first violation of each
+/// violating spec is delta-debugged ([`shrink_and_capture`]) and written as a
 /// replayable trace under `trace_dir`. Returns the `BENCH_fuzz.json` rows
 /// (one per spec and decider) and the paths of the traces written.
 pub fn run_grid(jobs: usize, trace_dir: &Path) -> (Vec<Json>, Vec<PathBuf>) {
     let specs = case_specs();
     let cells: Vec<(CaseSpec, &'static str)> =
-        specs.iter().flat_map(|s| DECIDERS.iter().map(|d| (*s, *d))).collect();
+        specs.iter().flat_map(|s| HOSTILE_NAMES.iter().map(|d| (*s, *d))).collect();
     let reports = run_cells(&cells, jobs, |_, (spec, d)| fuzz_cell(spec, d, SEEDS));
     let mut rows = Vec::new();
     let mut traces = Vec::new();
-    for (spec, group) in specs.iter().zip(reports.chunks(DECIDERS.len())) {
+    for (spec, group) in specs.iter().zip(reports.chunks(HOSTILE_NAMES.len())) {
         let viol: u64 = group.iter().map(|r| r.violations).sum();
         let verdict = spec.expect.verdict(viol > 0);
-        for (decider, rep) in DECIDERS.iter().zip(group) {
+        for (decider, rep) in HOSTILE_NAMES.iter().zip(group) {
             rows.push(Json::obj([
                 ("kind", Json::from("fuzz")),
                 (
@@ -707,7 +689,8 @@ pub fn run_grid(jobs: usize, trace_dir: &Path) -> (Vec<Json>, Vec<PathBuf>) {
                 ("verdict", Json::from(verdict)),
             ]));
         }
-        let first = DECIDERS.iter().zip(group).find_map(|(d, r)| Some((d, r.first.as_ref()?)));
+        let first =
+            HOSTILE_NAMES.iter().zip(group).find_map(|(d, r)| Some((d, r.first.as_ref()?)));
         if let Some((decider, first)) = first {
             let ce = shrink_and_capture(spec, decider, first.seed, &first.script);
             std::fs::create_dir_all(trace_dir).expect("create fuzz trace dir");
@@ -904,8 +887,8 @@ mod tests {
     fn every_family_engine_runs_under_every_decider() {
         for family in Family::ALL {
             let eng = engine(family, family.legal_q());
-            for name in DECIDERS {
-                let mut d = build_decider(name, 1, eng.n_procs());
+            for name in HOSTILE_NAMES {
+                let mut d = hostile(name, 1, eng.n_procs());
                 let run = eng.run_with(&mut *d);
                 assert!(run.steps > 0, "{} under {name} executed nothing", family.name());
             }
@@ -916,10 +899,10 @@ mod tests {
     fn fig3_sub_q_violation_is_found_shrunk_and_replayable() {
         let spec = CaseSpec { family: Family::Fig3, q: 1, regime: "sub", expect: Expect::Violation };
         let mut found = None;
-        'outer: for decider in DECIDERS {
+        'outer: for decider in HOSTILE_NAMES {
             for seed in 0..8 {
                 let eng = engine(spec.family, spec.q);
-                let mut d = build_decider(decider, seed, eng.n_procs());
+                let mut d = hostile(decider, seed, eng.n_procs());
                 let run = eng.run_with(&mut *d);
                 if run.violation.is_some() {
                     found = Some((decider, seed, run.script));

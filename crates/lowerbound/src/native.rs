@@ -1,8 +1,9 @@
 //! Native-backend execution grid: the data layer behind
 //! `experiments --native`.
 //!
-//! The grid runs the backend-generic algorithms (`hybrid_wf::generic`) on
-//! **real OS threads** through [`native::harness`], in both pacing modes
+//! The grid runs Fig. 3's statement-level program and the
+//! backend-generic algorithms (`hybrid_wf::generic`) on **real OS
+//! threads** through [`native::harness`], in both pacing modes
 //! of [`native::backend::NativeBackend`], and cross-validates every run
 //! with the simulator's own oracles (`hybrid_wf::oracle`):
 //!
@@ -93,7 +94,7 @@ pub struct NativeCell {
     pub expect: Expect,
     /// Completed operations.
     pub ops: u64,
-    /// Counted statements (cell accesses + explicit steps).
+    /// Counted statements (cell accesses + direct steps).
     pub steps: u64,
     /// Failed C&S attempts / duplicate universal-log slots.
     pub retries: u64,

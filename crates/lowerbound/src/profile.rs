@@ -19,12 +19,13 @@
 
 use std::time::Duration;
 
+use sched_sim::fuzz::hostile;
 use sched_sim::obs::Trace;
 use sched_sim::prof::{chrome_trace_text, Profile};
 use sched_sim::report::{wall_ms, Json, Kind};
 use sched_sim::sweep::run_cells;
 
-use crate::fuzz::{build_decider, engine, Family};
+use crate::fuzz::{engine, Family};
 
 /// The profiled families, in report order (see the module docs).
 pub const FAMILIES: [Family; 4] =
@@ -79,7 +80,7 @@ pub fn run_grid(jobs: usize, smoke: bool) -> Vec<ProfCell> {
     run_cells(&cells, jobs, |_, &(family, decider, seed)| {
         let q = family.legal_q();
         let eng = engine(family, q);
-        let mut d = build_decider(decider, seed, eng.n_procs());
+        let mut d = hostile(decider, seed, eng.n_procs());
         let (run, profile) = eng.run_profiled(&mut *d);
         ProfCell {
             family,
@@ -161,7 +162,7 @@ pub fn report_lines(cells: &[ProfCell]) -> Vec<Json> {
 /// artifact is idempotent.
 pub fn family_timeline(family: Family) -> String {
     let eng = engine(family, family.legal_q());
-    let mut d = build_decider("storm", 0, eng.n_procs());
+    let mut d = hostile("storm", 0, eng.n_procs());
     let run = eng.run_with(&mut *d);
     let (_, trace) = eng.capture(&run.script);
     chrome_trace_text(&trace)

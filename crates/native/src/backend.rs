@@ -295,6 +295,16 @@ impl NativeBackend {
         GRANT_SPAN.with(|s| s.set(None));
     }
 
+    /// The step hook: one call = one counted atomic statement of the
+    /// calling process. Counts the statement and, on a lockstep backend,
+    /// parks the thread until the scheduler grants it. Every cell access
+    /// calls it internally; the harness calls it directly once before
+    /// each statement of a statement-level program (Fig. 3's `decide`),
+    /// whose register accesses then skip it.
+    pub fn step(&self) {
+        self.inner.step();
+    }
+
     /// Whether this backend paces statements through the lockstep
     /// scheduler.
     pub(crate) fn is_lockstep(&self) -> bool {
@@ -319,7 +329,8 @@ impl NativeBackend {
         }
     }
 
-    /// Total counted statements (cell accesses + explicit `step`s) so far.
+    /// Total counted statements (cell accesses + direct
+    /// [`step`](Self::step)s) so far.
     pub fn accesses(&self) -> u64 {
         self.inner.accesses.sum()
     }
@@ -351,19 +362,33 @@ pub struct NativeReg {
     word: Padded<AtomicU64>,
 }
 
-impl RegCell for NativeReg {
-    fn read(&self) -> OptVal {
-        self.hook.step();
+impl NativeReg {
+    /// [`read`](RegCell::read) without the step hook, for a statement
+    /// whose grant the caller already took.
+    pub(crate) fn load(&self) -> OptVal {
         match self.word.get().load(Ordering::SeqCst) {
             EMPTY => None,
             v => Some(v),
         }
     }
 
-    fn write(&self, v: Val) {
-        self.hook.step();
+    /// [`write`](RegCell::write) without the step hook, for a statement
+    /// whose grant the caller already took.
+    pub(crate) fn store(&self, v: Val) {
         assert_ne!(v, EMPTY, "u64::MAX is the ⊥ sentinel");
         self.word.get().store(v, Ordering::SeqCst);
+    }
+}
+
+impl RegCell for NativeReg {
+    fn read(&self) -> OptVal {
+        self.hook.step();
+        self.load()
+    }
+
+    fn write(&self, v: Val) {
+        self.hook.step();
+        self.store(v);
     }
 }
 
@@ -446,10 +471,6 @@ impl MemBackend for NativeBackend {
     fn cons(&self) -> NativeCons {
         NativeCons { hook: self.inner.clone(), word: Padded::new(AtomicU64::new(EMPTY)) }
     }
-
-    fn step(&self) {
-        self.inner.step();
-    }
 }
 
 #[cfg(test)]
@@ -495,7 +516,7 @@ pub(crate) mod tests {
         assert_eq!(count(&b), 4, "one statement per access");
     }
 
-    /// Each access and each explicit `step()` counts exactly one statement.
+    /// Each access counts exactly one statement.
     fn counting_clause<B: MemBackend>(b: B, count: impl Fn(&B) -> u64) {
         let (r, w, c) = (b.reg(), b.cas(0), b.cons());
         r.write(1);
@@ -505,8 +526,6 @@ pub(crate) mod tests {
         c.decide(9);
         c.read();
         assert_eq!(count(&b), 6, "one statement per access");
-        b.step();
-        assert_eq!(count(&b), 7, "one statement per explicit step");
     }
 
     /// Two backends of one kind count separately.
@@ -541,6 +560,17 @@ pub(crate) mod tests {
     #[test]
     fn free_backend_counts_accesses() {
         counting_clause(NativeBackend::free(), NativeBackend::accesses);
+    }
+
+    #[test]
+    fn step_hook_counts_one_statement() {
+        let b = NativeBackend::free();
+        b.step();
+        assert_eq!(b.accesses(), 1, "one statement per direct step");
+        let r = b.reg();
+        r.store(5);
+        assert_eq!(r.load(), Some(5));
+        assert_eq!(b.accesses(), 1, "hook-free register accesses count nothing");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The native run harness: executes the backend-generic algorithms on OS
-//! threads and records per-operation outcomes in the simulator's own
-//! [`OpRecord`] format, so native runs are checked by the **same**
-//! linearizability/agreement oracles (`hybrid_wf::oracle`) the fuzzer
-//! uses.
+//! The native run harness: executes Fig. 3's statement-level program and
+//! the backend-generic algorithms on OS threads and records per-operation
+//! outcomes in the simulator's own [`OpRecord`] format, so native runs
+//! are checked by the **same** linearizability/agreement oracles
+//! (`hybrid_wf::oracle`) the fuzzer uses.
 //!
 //! Free-mode timestamps come from one global ticket clock (an
 //! `AtomicU64` bumped with `SeqCst` `fetch_add` at every operation start
@@ -30,15 +30,21 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hybrid_wf::generic::{fig3_decide, CasObject, Fig3Cell, Universal, WordOp};
+use hybrid_wf::generic::{CasObject, Universal, WordOp};
 use hybrid_wf::oracle::{CasRegOp, CasRegisterSpec, QueueOp, QueueSpec};
+use hybrid_wf::uni::consensus::{
+    decide_program, ConsensusRegs, DecideScratch, UniConsensusLocals,
+};
 use hybrid_wf::universal::CounterSpec;
-use sched_sim::kernel::OpRecord;
 use sched_sim::ids::ProcessId;
+use sched_sim::kernel::OpRecord;
+use sched_sim::machine::{StepCtx, StepMachine, StepOutcome};
+use sched_sim::program::ProgMachine;
 use sched_sim::rng::SplitMix64;
+use wfmem::backend::MemBackend;
 use wfmem::Val;
 
-use crate::backend::NativeBackend;
+use crate::backend::{NativeBackend, NativeReg};
 
 /// How the backend paces statements (see [`crate::backend`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +79,7 @@ pub struct FamilyRun<O> {
     /// The per-process operation plans (`plans[pid][inv]` is the op behind
     /// the record with that `pid`/`inv_index`).
     pub plans: Vec<Vec<O>>,
-    /// Counted statements (cell accesses + explicit steps) across the run.
+    /// Counted statements (cell accesses + direct steps) across the run.
     pub accesses: u64,
     /// Workload-specific retries: failed C&S attempts, or universal-log
     /// duplicate slots skipped during replay.
@@ -156,19 +162,48 @@ where
 // Workloads
 // ---------------------------------------------------------------------------
 
+/// Fig. 3's `P[1..3]` as three native registers: the memory each thread
+/// hands the `uni::consensus` program. Its loads and stores skip the step
+/// hook, because [`run_fig3`] takes the one grant per statement itself.
+#[derive(Clone)]
+struct NativeP(Arc<[NativeReg; 3]>);
+
+impl ConsensusRegs for NativeP {
+    fn read(&self, i: usize) -> Option<Val> {
+        self.0[i].load()
+    }
+
+    fn write(&mut self, i: usize, v: Val) {
+        self.0[i].store(v);
+    }
+}
+
 /// Fig. 3 consensus: `inputs.len()` processes, one `decide(input)` each.
 ///
-/// Agreement holds by Theorem 1 under `Pacing::Lockstep` with
-/// `quantum >= MIN_QUANTUM`; under `Pacing::Free` (or sub-threshold
-/// quanta) disagreement is possible and reported by
+/// Each thread runs the statement-level program the explorer verifies
+/// ([`decide_program`]) over shared native registers, calling the
+/// backend's step hook once before every statement: eight grants per
+/// decide, one per counted statement. Agreement holds by Theorem 1 under
+/// `Pacing::Lockstep` with `quantum >= MIN_QUANTUM`; under `Pacing::Free`
+/// (or sub-threshold quanta) disagreement is possible and reported by
 /// [`fig3_agreement`].
 pub fn run_fig3(inputs: &[Val], pacing: Pacing) -> FamilyRun<Val> {
     let n = inputs.len();
     let backend = pacing.backend(n);
-    let cell = Arc::new(Fig3Cell::new(&backend));
+    let p = NativeP(Arc::new([backend.reg(), backend.reg(), backend.reg()]));
+    let (prog, entry) = decide_program::<NativeP>();
     let plans: Vec<Vec<Val>> = inputs.iter().map(|&v| vec![v]).collect();
-    run_threads(&backend, plans, move |b, _pid, &input| {
-        (fig3_decide(b, &cell, input), 0)
+    run_threads(&backend, plans, move |b, pid, &val| {
+        let locals = UniConsensusLocals { val, s: DecideScratch::default() };
+        let mut machine = ProgMachine::single_shot(&prog, locals, entry);
+        let (mut mem, mut ctx) = (p.clone(), StepCtx::new(ProcessId(pid)));
+        loop {
+            b.step();
+            if machine.step(&mut mem, &mut ctx) == StepOutcome::Finished {
+                break;
+            }
+        }
+        (machine.locals().s.ret.expect("statement 7 returns P[3]"), 0)
     })
 }
 

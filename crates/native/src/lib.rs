@@ -5,10 +5,12 @@
 //! the statement-level correctness experiments. This crate is the other
 //! half of the backend split (see `BACKENDS.md` at the repository root):
 //! it implements the [`wfmem::backend::MemBackend`] cell vocabulary over
-//! cache-line-padded `std::sync::atomic` words and drives the
-//! backend-generic algorithms of `hybrid_wf::generic` — Fig. 3 consensus,
-//! the Fig. 5 C&S + Read interface, the universal construction — on one
-//! OS thread per process, in two pacing modes:
+//! cache-line-padded `std::sync::atomic` words and drives the paper's
+//! algorithms on one OS thread per process — Fig. 3 consensus as the
+//! statement-level program of `hybrid_wf::uni::consensus` (the one the
+//! explorer verifies) over native registers, and the backend-generic
+//! Fig. 5 C&S + Read interface and universal construction of
+//! `hybrid_wf::generic` — in two pacing modes:
 //!
 //! * **free** — genuine races under the commodity scheduler. This mode
 //!   measures throughput, and it is where the paper's quantum axiom does
@@ -22,7 +24,7 @@
 //!   ([`backend::NativeBackend::lockstep`]) grants one counted statement
 //!   at a time, enforcing Axiom 1 (strict priorities) and Axiom 2
 //!   (quantum windows of `Q` statements) with seeded tie-breaking. The
-//!   same generic code, scheduled per the paper's model on real threads:
+//!   same code, scheduled per the paper's model on real threads:
 //!   `Q ≥ 8` reproduces Theorem 1's agreement, `Q = 1` reproduces the
 //!   disagreements the simulator's explorer finds.
 //!

@@ -23,12 +23,16 @@
 //!   module docs permit). Wait-free algorithms must still complete every
 //!   *other* process's operations.
 //!
+//! [`hostile`] builds any of them by name from [`HOSTILE_NAMES`], which
+//! also lists a seeded-uniform control (`"random"`); the fuzz and profile
+//! grids take their deciders from that one registry.
+//!
 //! Because all scheduling nondeterminism flows through
 //! [`Decider::choose`], wrapping any of these in a [`Recording`] yields
 //! the complete schedule as a `Vec<usize>` — replayable with
 //! [`crate::decision::Scripted`] and shrinkable with [`crate::shrink`].
 
-use crate::decision::{Choice, Decider};
+use crate::decision::{Choice, Decider, SeededRandom};
 use crate::ids::ProcessId;
 use crate::rng::SplitMix64;
 
@@ -70,6 +74,11 @@ impl Decider for Recording<'_> {
 /// incumbent holder (guaranteeing a same-priority preemption whenever an
 /// alternative is ready), every first window is a single statement, and
 /// processor interleaving is seeded-random.
+///
+/// This is also the Theorem 3 / Table 1 adversary (the lower-bound crate
+/// pairs it with [`SeededRandom`] across seeds). Its
+/// holder decision runs in place and allocates nothing once every
+/// (processor, priority) pair has been seen.
 #[derive(Clone, Debug)]
 pub struct PreemptionStorm {
     rng: SplitMix64,
@@ -95,13 +104,17 @@ impl Decider for PreemptionStorm {
                     .find(|(c, p, _)| (*c, *p) == key)
                     .map(|(_, _, h)| *h);
                 // Displace the incumbent whenever possible; among the
-                // alternatives, pick randomly so repeated seeds explore
-                // different rotation orders.
-                let alts: Vec<usize> = (0..n).filter(|&i| Some(options[i]) != last).collect();
-                let idx =
-                    if alts.is_empty() { 0 } else { alts[self.rng.index(alts.len())] };
-                self.last_holder.retain(|(c, p, _)| (*c, *p) != key);
-                self.last_holder.push((key.0, key.1, options[idx]));
+                // alternatives, draw the k-th uniformly, in place, so
+                // repeated seeds explore different rotation orders.
+                let alternatives = || (0..n).filter(|&i| Some(options[i]) != last);
+                let idx = match alternatives().count() {
+                    0 => 0,
+                    count => alternatives().nth(self.rng.index(count)).expect("k < count"),
+                };
+                match self.last_holder.iter_mut().find(|(c, p, _)| (*c, *p) == key) {
+                    Some(entry) => entry.2 = options[idx],
+                    None => self.last_holder.push((key.0, key.1, options[idx])),
+                }
                 idx
             }
             // Shortest possible first window: the first quantum boundary
@@ -261,14 +274,15 @@ impl Decider for CrashAfterK {
     }
 }
 
-/// The hostile decider family by name, for fuzz grids and reports. The
-/// names index [`hostile`].
-pub const HOSTILE_NAMES: [&str; 4] = ["storm", "flip", "stalker", "crash"];
+/// The fuzz deciders by name, for fuzz grids and reports: the four hostile
+/// deciders, then `"random"`, a seeded-uniform [`SeededRandom`] control.
+/// The names index [`hostile`].
+pub const HOSTILE_NAMES: [&str; 5] = ["storm", "flip", "stalker", "crash", "random"];
 
-/// Builds a hostile decider by name. `seed` parameterizes the stochastic
-/// adversaries and, for `"crash"`, selects the victim (`seed % n_procs`)
-/// and the crash point; `n_procs` is the process count of the scenario the
-/// decider will drive.
+/// Builds a decider from [`HOSTILE_NAMES`] by name. `seed` parameterizes
+/// the stochastic deciders and, for `"crash"`, selects the victim
+/// (`seed % n_procs`) and the crash point; `n_procs` is the process count
+/// of the scenario the decider will drive.
 ///
 /// # Panics
 ///
@@ -283,6 +297,7 @@ pub fn hostile(name: &str, seed: u64, n_procs: u32) -> Box<dyn Decider> {
             4 + seed % 16,
             ProcessId((seed % u64::from(n_procs.max(1))) as u32),
         )),
+        "random" => Box::new(SeededRandom::new(seed)),
         other => panic!("unknown hostile decider {other:?}"),
     }
 }

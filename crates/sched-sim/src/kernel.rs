@@ -218,6 +218,7 @@ impl<M> std::ops::Deref for Slot<M> {
     }
 }
 
+#[derive(Clone)]
 struct ProcEntry<M> {
     pid: ProcessId,
     cpu: ProcessorId,
@@ -481,28 +482,7 @@ impl<M: Clone> Clone for Kernel<M> {
             mem: self.mem.clone(),
             quantum: self.quantum,
             first_credit: self.first_credit,
-            procs: self
-                .procs
-                .iter()
-                .map(|p| ProcEntry {
-                    pid: p.pid,
-                    cpu: p.cpu,
-                    prio: p.prio,
-                    held: p.held,
-                    machine: p.machine.clone(),
-                    status: p.status,
-                    mid_invocation: p.mid_invocation,
-                    ever_dispatched: p.ever_dispatched,
-                    interleaved_same: p.interleaved_same,
-                    interleaved_higher: p.interleaved_higher,
-                    inv_start: p.inv_start,
-                    aborted_inv_start: p.aborted_inv_start,
-                    inv_snapshot: p.inv_snapshot.clone(),
-                    stats: p.stats,
-                    hash_key: p.hash_key,
-                    hash_term: p.hash_term,
-                })
-                .collect(),
+            procs: self.procs.clone(),
             cpus: self.cpus.clone(),
             clock: self.clock,
             ops: Arc::clone(&self.ops),

@@ -14,8 +14,8 @@
 //! * [`SimBackend`] (this module) — single-threaded, deterministic
 //!   cells (a plain word for the register and the C&S, a
 //!   [`LocalConsensus`] for the consensus cell); every access is counted
-//!   as one atomic statement, so step-complexity claims (e.g. Fig. 3's
-//!   eight statements per `decide`) stay auditable, and
+//!   as one atomic statement, so step-complexity claims (e.g. the
+//!   universal construction's accesses per operation) stay auditable, and
 //! * the `native` crate's backends — cache-line-padded
 //!   `std::sync::atomic` cells driven by real OS threads, either *free*
 //!   (whatever interleaving the hardware and the commodity scheduler
@@ -31,22 +31,21 @@
 //!
 //! The paper counts *atomic statements*: one shared-memory access per
 //! statement, quanta measured in statements (Axiom 2). The trait mirrors
-//! that accounting:
+//! that accounting: **every cell access performs exactly one step**
+//! internally, before the access takes effect. A backend may use that
+//! step to count the statement ([`SimBackend`]), to park the calling
+//! thread until a scheduler grants it the statement (native lockstep), or
+//! only to count it (native free). Between two of its steps a process
+//! performs only private computation plus the single cell access the
+//! second step licenses — which is precisely the paper's "one atomic
+//! statement" granularity.
 //!
-//! 1. **Every cell access performs exactly one [`MemBackend::step`]**
-//!    internally, before the access takes effect. A backend may use the
-//!    hook to count the statement ([`SimBackend`]), to park the calling
-//!    thread until a scheduler grants it the statement (native lockstep),
-//!    or to do nothing at all (native free).
-//! 2. **Counted local statements call [`MemBackend::step`] explicitly.**
-//!    Fig. 3's statement 1 (`v := val`) touches no shared cell but is one
-//!    of the eight statements Lemma 1 counts; the generic implementation
-//!    calls `step()` for it so a quantum of `Q = 8` means exactly what it
-//!    means in the paper.
-//!
-//! Between two of its `step()` calls a process performs only private
-//! computation plus the single cell access the second `step()` licenses —
-//! which is precisely the paper's "one atomic statement" granularity.
+//! Statement-level programs whose statements are not all cell accesses
+//! (Fig. 3's statement 1, `v := val`, touches no shared cell but is one
+//! of the eight statements Lemma 1 counts) do not go through this trait:
+//! the `native` harness runs such a program itself and takes one step per
+//! statement, so a quantum of `Q = 8` means exactly what it means in the
+//! paper.
 //!
 //! # Examples
 //!
@@ -111,11 +110,11 @@ pub trait ConsCell {
     fn read(&self) -> OptVal;
 }
 
-/// A family of shared-memory cells plus the process-local step hook.
+/// A family of shared-memory cells.
 ///
 /// Implementations must uphold the step contract described in the
-/// [module docs](self): one internal [`step`](MemBackend::step) per cell
-/// access, and sequentially-consistent behavior of the cells themselves
+/// [module docs](self): one internal step per cell access, and
+/// sequentially-consistent behavior of the cells themselves
 /// (see `BACKENDS.md` for the per-backend memory-ordering argument).
 pub trait MemBackend {
     /// This backend's atomic register cell.
@@ -133,13 +132,6 @@ pub trait MemBackend {
 
     /// Creates an undecided consensus cell.
     fn cons(&self) -> Self::Cons;
-
-    /// The process-local step hook: one call = one counted atomic
-    /// statement of the calling process.
-    ///
-    /// Cell accesses call this internally; algorithms call it directly
-    /// only for counted *local* statements (Fig. 3's statement 1).
-    fn step(&self);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,8 +151,7 @@ impl SimInner {
 
 /// The deterministic single-threaded backend over the simulator cells.
 ///
-/// Cells count every access (and every explicit
-/// [`step`](MemBackend::step)) into one statement counter per backend —
+/// Cells count every access into one statement counter per backend —
 /// [`steps`](SimBackend::steps) — so backend-generic algorithms remain
 /// step-auditable exactly like their statement-level counterparts.
 ///
@@ -274,9 +265,5 @@ impl MemBackend for SimBackend {
 
     fn cons(&self) -> SimCons {
         SimCons { hook: self.inner.clone(), cell: RefCell::new(LocalConsensus::new()) }
-    }
-
-    fn step(&self) {
-        self.inner.bump();
     }
 }

@@ -33,9 +33,9 @@
 //!
 //! The [`backend`] module carries the algorithms onto real hardware
 //! threads: [`MemBackend`] is the
-//! cell vocabulary (register / C&S / consensus cell plus a process-local
-//! step hook) that lets the Fig. 3 and universal-construction algorithms
-//! in `hybrid-wf::generic` be written once and instantiated both on
+//! cell vocabulary (register / C&S / consensus cell, one counted step per
+//! access) that lets the C&S object and the universal construction in
+//! `hybrid-wf::generic` be written once and instantiated both on
 //! [`SimBackend`] (deterministic, single-threaded, step-counted) and on
 //! the `native` crate's cache-padded atomic backends. The
 //! capped [`CConsensus`] has no backend cell: Fig. 7 (`C < ∞`) runs on the

@@ -90,10 +90,17 @@ echo "== narrative sections, stdout byte for byte =="
 echo "== every example binary, stdout byte for byte =="
 # The examples assert as they print (quickstart's well-formedness check,
 # lowerbound_demo's contradiction, cas_object's linearizability), so a
-# run both exercises those checks and pins the rendered diagrams.
+# run both exercises those checks and pins the rendered diagrams. The
+# `examples` crate's programs are binaries; a library crate's example
+# (native's `lockstep_threshold`: 512 lockstep Fig. 3 runs on OS threads,
+# whose seeded schedules make the split seeds a pure function of the
+# code) lands under `target/release/examples/`.
+cargo build --release --examples
 for golden in tests/golden/examples/*.txt; do
     bin="$(basename "$golden" .txt)"
-    "target/release/$bin" | cmp - "$golden"
+    exe="target/release/$bin"
+    [[ -x $exe ]] || exe="target/release/examples/$bin"
+    "$exe" | cmp - "$golden"
 done
 
 echo "== offline profiling of both committed fuzz counterexamples =="

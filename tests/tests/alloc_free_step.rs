@@ -16,7 +16,7 @@
 //! partial-order-reduction query allocate nothing.
 //!
 //! A whole Fig. 7 adversary run, the Table 1 grid's unit of work, is held
-//! to the same contract: under a warmed-up [`MaxPreempt`] and with the op
+//! to the same contract: under a warmed-up [`PreemptionStorm`] and with the op
 //! log reserved, the multi-processor algorithm's statements, its oracle
 //! bookkeeping and the adversary's holder decisions allocate nothing.
 //!
@@ -26,7 +26,8 @@
 
 use hybrid_wf::multi::consensus::LocalMode;
 use integration_tests::CountingAlloc;
-use lowerbound::adversary::{fig7_kernel, MaxPreempt};
+use lowerbound::adversary::fig7_scenario;
+use sched_sim::fuzz::PreemptionStorm;
 use sched_sim::kernel::HashCfg;
 use sched_sim::machine::Footprint;
 use sched_sim::program::{Flow, ProgMachine, ProgramBuilder};
@@ -110,15 +111,15 @@ fn assert_steady_state_alloc_free(
     assert!(k.mem >= 1_000, "statements must actually have executed");
 }
 
-/// Runs `fig7_kernel(3, 3, 3, 1, q, Modeled)` to completion under
+/// Runs `fig7_scenario(3, 3, 3, 1, q, Modeled)` to completion under
 /// `decider` and asserts that everything after its first statement
 /// allocated nothing. The first statement sizes the kernel's scratch
 /// buffers; the op log is reserved before it. Retried like
 /// [`assert_steady_state_alloc_free`], on a fresh kernel each time.
-fn assert_fig7_run_alloc_free(q: u32, decider: &mut MaxPreempt) {
+fn assert_fig7_run_alloc_free(q: u32, decider: &mut PreemptionStorm) {
     let mut allocated = 0;
     for _attempt in 0..3 {
-        let mut k = fig7_kernel(3, 3, 3, 1, q, LocalMode::Modeled);
+        let mut k = fig7_scenario(3, 3, 3, 1, q, LocalMode::Modeled).into_kernel();
         k.reserve_ops(k.n_processes());
         assert!(k.step(decider).is_some(), "a fresh Fig. 7 kernel has ready processes");
         let before = GLOBAL.count();
@@ -132,7 +133,7 @@ fn assert_fig7_run_alloc_free(q: u32, decider: &mut MaxPreempt) {
     }
     assert_eq!(
         allocated, 0,
-        "Fig. 7 run at Q = {q} allocated {allocated} times under MaxPreempt \
+        "Fig. 7 run at Q = {q} allocated {allocated} times under PreemptionStorm \
          (in three consecutive runs)"
     );
 }
@@ -172,8 +173,9 @@ fn steady_state_step_loop_does_not_allocate() {
 
     // Whole Fig. 7 adversary runs. One uncounted run first grows the
     // adversary's per-(cpu, priority) holder memory to its final size.
-    let mut adversary = MaxPreempt::new(0);
-    fig7_kernel(3, 3, 3, 1, 1, LocalMode::Modeled).run(&mut adversary, 1_000_000);
+    let mut adversary = PreemptionStorm::new(0);
+    let mut warmup = fig7_scenario(3, 3, 3, 1, 1, LocalMode::Modeled).into_kernel();
+    warmup.run(&mut adversary, 1_000_000);
     for q in [1, 2, 4, 8] {
         assert_fig7_run_alloc_free(q, &mut adversary);
     }

@@ -6,8 +6,9 @@
 
 use lowerbound::fuzz::{
     case_specs, fuzz_cell, replay_artifact, shrink_and_capture, CaseSpec, CounterExample, Expect,
-    Family, DECIDERS,
+    Family,
 };
+use sched_sim::fuzz::HOSTILE_NAMES;
 
 /// The committed counterexample corpus, resolved against the package root
 /// so the test works regardless of the runner's working directory.
@@ -51,7 +52,7 @@ fn predicted_violations_fire_shrink_and_replay() {
     assert!(!predicted.is_empty(), "the grid must predict at least one violation");
     for spec in predicted {
         let mut found = None;
-        'outer: for decider in DECIDERS {
+        'outer: for decider in HOSTILE_NAMES {
             let rep = fuzz_cell(&spec, decider, 8);
             if let Some(first) = rep.first {
                 found = Some((decider, first));

@@ -1,5 +1,6 @@
-//! Native-backend cross-validation: the backend-generic algorithms on
-//! real OS threads, checked by the simulator's own oracles.
+//! Native-backend cross-validation: Fig. 3's statement-level program and
+//! the backend-generic algorithms on real OS threads, checked by the
+//! simulator's own oracles.
 //!
 //! The split under test (see BACKENDS.md): `hybrid_wf::generic` is written
 //! once against `wfmem::backend::MemBackend` and runs unchanged on the

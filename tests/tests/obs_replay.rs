@@ -11,7 +11,8 @@
 use hybrid_wf::multi::consensus::LocalMode;
 use hybrid_wf::oracle::{check_linearizable, check_linearizable_traced, SeqSpec, TimedOp};
 use hybrid_wf::universal::{op_machine, CounterSpec, UniversalMem};
-use lowerbound::adversary::{fig7_scenario, MaxPreempt};
+use lowerbound::adversary::fig7_scenario;
+use sched_sim::fuzz::PreemptionStorm;
 use sched_sim::machine::{FnMachine, StepOutcome};
 use sched_sim::obs::{ObsEvent, Trace};
 use sched_sim::rng::SplitMix64;
@@ -92,13 +93,13 @@ fn replay_survives_text_round_trip() {
 }
 
 /// Adversary runs are replayable too: the preemption-maximizing
-/// `MaxPreempt` decider from the lower-bound experiments records through
+/// `PreemptionStorm` decider of the lower-bound experiments records through
 /// the same decision stream as any other decider.
 #[test]
 fn adversary_run_replays_bit_identical() {
     for seed in [0u64, 3, 11] {
         let s = fig7_scenario(2, 2, 3, 1, 8, LocalMode::Modeled).with_obs();
-        let mut captured = s.run(&mut MaxPreempt::new(seed));
+        let mut captured = s.run(&mut PreemptionStorm::new(seed));
         assert!(captured.all_finished, "seed {seed}");
         let trace = captured.take_trace().unwrap();
 

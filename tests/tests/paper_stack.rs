@@ -3,9 +3,9 @@
 //! consistent story.
 
 use hybrid_wf::multi::consensus::LocalMode;
-use lowerbound::adversary::{fig7_kernel, probe, MaxPreempt};
+use lowerbound::adversary::{adversary_for_seed, fig7_scenario, probe};
 use lowerbound::fig6;
-use sched_sim::{Decider, ProcessId, SeededRandom};
+use sched_sim::{ProcessId, SeededRandom};
 
 /// Modeled and expanded local elections produce the same decision value on
 /// identical seeds and configurations (the DESIGN.md §6.2 ablation, run
@@ -14,7 +14,7 @@ use sched_sim::{Decider, ProcessId, SeededRandom};
 fn local_mode_ablation_same_decisions() {
     for seed in 0..15u64 {
         let decide = |mode| {
-            let mut k = fig7_kernel(2, 3, 2, 2, 128, mode);
+            let mut k = fig7_scenario(2, 3, 2, 2, 128, mode).into_kernel();
             let mut d = SeededRandom::new(seed);
             k.run(&mut d, 20_000_000);
             assert!(k.all_finished());
@@ -64,11 +64,8 @@ fn quantum_governs_access_failures() {
     let af = |q: u32| {
         let mut total = 0;
         for seed in 0..30 {
-            let mut k = fig7_kernel(2, 2, 3, 1, q, LocalMode::Modeled);
-            let mut mp = MaxPreempt::new(seed);
-            let mut sr = SeededRandom::new(seed);
-            let d: &mut dyn Decider = if seed % 2 == 0 { &mut mp } else { &mut sr };
-            k.run(d, 50_000_000);
+            let mut k = fig7_scenario(2, 2, 3, 1, q, LocalMode::Modeled).into_kernel();
+            k.run(&mut *adversary_for_seed(seed), 50_000_000);
             let s = summarize(&k.mem);
             total += s.same + s.diff;
         }
