@@ -87,9 +87,7 @@ mod tests {
     #[test]
     fn counters_are_identity_neutral() {
         let a = AlgCounters::default();
-        let mut b = AlgCounters::default();
-        b.helped_proposals = 99;
-        b.qcs_retries = 7;
+        let b = AlgCounters { helped_proposals: 99, qcs_retries: 7, ..AlgCounters::default() };
         assert_eq!(a, b, "counters must not affect equality");
         let hash = |c: &AlgCounters| {
             let mut h = DefaultHasher::new();

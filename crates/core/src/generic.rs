@@ -30,7 +30,7 @@
 //! boundary between "algorithm ported" and "interface re-based" is drawn
 //! in `BACKENDS.md` and EXPERIMENTS.md ("Native execution").
 
-use wfmem::backend::{CasCell, ConsCell, MemBackend, RegCell};
+use wfmem::backend::{ConsCell, MemBackend};
 use wfmem::Val;
 
 use crate::oracle::{CasRegOp, CasRegisterSpec, QueueOp, SeqSpec};
@@ -43,30 +43,31 @@ use crate::universal::CounterSpec;
 /// The Fig. 5 object *interface* — `C&S(old, new)` plus `Read()` — over a
 /// backend C&S cell.
 ///
-/// Theorem 2's specification, one counted statement per operation. The
-/// O(V) read/write *implementation* of that interface stays
-/// statement-level ([`crate::uni::cas`]): its helping discipline is
-/// exactly what the quantum axiom buys, and commodity schedulers do not
-/// provide it.
+/// Theorem 2's specification, one counted statement per operation, taken
+/// through the object's clone of its backend. The O(V) read/write
+/// *implementation* of that interface stays statement-level
+/// ([`crate::uni::cas`]): its helping discipline is exactly what the
+/// quantum axiom buys, and commodity schedulers do not provide it.
 pub struct CasObject<B: MemBackend> {
+    b: B,
     cell: B::Cas,
 }
 
 impl<B: MemBackend> CasObject<B> {
     /// Creates the object holding `init`.
     pub fn new(backend: &B, init: Val) -> Self {
-        CasObject { cell: backend.cas(init) }
+        CasObject { b: backend.clone(), cell: backend.cas(init) }
     }
 
     /// `C&S(old, new)`: installs `new` and returns `true` iff the value
     /// equals `old`.
     pub fn cas(&self, old: Val, new: Val) -> bool {
-        self.cell.cas(old, new)
+        self.b.compare_swap(&self.cell, old, new)
     }
 
     /// `Read()`: the current value.
     pub fn read(&self) -> Val {
-        self.cell.read()
+        self.b.read_word(&self.cell)
     }
 
     /// Applies `op`, returning the result encoded the way
@@ -185,7 +186,11 @@ fn token_seq(tok: Val) -> u32 {
 /// preferentially the announced token of process `k mod n`, so every
 /// announced operation is decided within `n` slots — wait-freedom does not
 /// depend on the scheduler.
+///
+/// The object keeps one clone of its backend and takes every counted
+/// access through it; the cells are bare words.
 pub struct Universal<B: MemBackend, S: WordOp> {
+    b: B,
     n: u32,
     announce: Vec<B::Reg>,
     published: Vec<Vec<B::Reg>>,
@@ -221,6 +226,7 @@ impl<B: MemBackend, S: WordOp + Clone> Universal<B, S> {
     pub fn new(backend: &B, spec: S, n: u32, per_process: u32) -> Self {
         let slots = 2 * (n as usize) * (per_process as usize) + n as usize + 1;
         Universal {
+            b: backend.clone(),
             n,
             announce: (0..n).map(|_| backend.reg()).collect(),
             published: (0..n)
@@ -253,13 +259,13 @@ impl<B: MemBackend, S: WordOp + Clone> Universal<B, S> {
     pub fn apply(&self, s: &mut UniversalSession<S>, op: &S::Op) -> Val {
         let me = s.me as usize;
         let my_token = op_token(s.me, s.seq);
-        self.published[me][s.seq as usize].write(S::encode_op(op));
-        self.announce[me].write(my_token);
+        self.b.write(&self.published[me][s.seq as usize], S::encode_op(op));
+        self.b.write(&self.announce[me], my_token);
         s.seq += 1;
         loop {
             // Helping: prefer the announced pending op of process k mod n.
             let helpee = (s.k % self.n) as usize;
-            let proposal = match self.announce[helpee].read() {
+            let proposal = match self.b.read(&self.announce[helpee]) {
                 // `⊥` (never announced) and RETRACTED (announcement
                 // withdrawn) both mean "nothing to help".
                 Some(tok) if tok != RETRACTED => {
@@ -272,7 +278,7 @@ impl<B: MemBackend, S: WordOp + Clone> Universal<B, S> {
             };
             let slot = s.k as usize;
             assert!(slot < self.log.len(), "universal log capacity exceeded");
-            let decided = self.log[slot].decide(proposal);
+            let decided = self.b.decide(&self.log[slot], proposal);
             s.k += 1;
             let (winner, wseq) = (token_pid(decided), token_seq(decided));
             if wseq != s.applied[winner as usize] {
@@ -283,24 +289,26 @@ impl<B: MemBackend, S: WordOp + Clone> Universal<B, S> {
                 continue;
             }
             // First occurrence: replay on the private replica.
-            let word = self.published[winner as usize][wseq as usize]
-                .read()
+            let word = self
+                .b
+                .read(&self.published[winner as usize][wseq as usize])
                 .expect("operations are published before their token is proposed");
             let op = S::decode_op(word);
             let (next, result) = self.spec.apply(&s.state, &op);
             s.state = next;
             s.applied[winner as usize] += 1;
             if decided == my_token {
-                // Retract the announcement. RegCell has no `⊥` write, so
-                // retraction writes RETRACTED (never a valid token; see
+                // Retract the announcement. A register has no `⊥` write,
+                // so retraction writes RETRACTED (never a valid token; see
                 // `op_token`), which helpers treat exactly like `⊥`.
-                self.announce[me].write(RETRACTED);
+                self.b.write(&self.announce[me], RETRACTED);
                 return result;
             }
         }
     }
 
-    /// The decided log prefix as operation tokens (oracle use; uncounted).
+    /// The decided log prefix as operation tokens (oracle use; uncounted:
+    /// it reads the cells directly, not through the backend).
     pub fn decided_prefix(&self) -> Vec<Val> {
         self.log.iter().map_while(|c| c.read()).collect()
     }
@@ -333,6 +341,7 @@ mod tests {
         assert!(o.cas(3, 9));
         assert_eq!(o.apply(&CasRegOp::Read), 9);
         assert_eq!(o.apply(&CasRegOp::Cas { old: 9, new: 1 }), 1);
+        assert_eq!(b.steps(), 5, "one counted statement per operation");
     }
 
     #[test]
@@ -390,7 +399,9 @@ mod tests {
                 u.apply(s, &(round + 1));
             }
         }
+        let steps = b.steps();
         let log = u.decided_prefix();
+        assert_eq!(b.steps(), steps, "reading the prefix counts no statement");
         assert_eq!(log.len(), 6, "six ops, sequential run admits no duplicates");
         let mut seen = std::collections::HashSet::new();
         for tok in log {

@@ -65,7 +65,7 @@ pub fn fig7_scenario(
 /// seeds uniformly random [`SeededRandom`] (finds irregular placements the
 /// rotator's strict alternation misses).
 pub fn adversary_for_seed(seed: u64) -> Box<dyn Decider> {
-    if seed % 2 == 0 {
+    if seed.is_multiple_of(2) {
         Box::new(PreemptionStorm::new(seed))
     } else {
         Box::new(SeededRandom::new(seed))

@@ -1,6 +1,10 @@
-//! The native [`MemBackend`]: real OS threads over cache-line-padded
-//! atomic cells ([`NativeReg`], [`NativeCas`], [`NativeCons`]), in two
-//! pacing modes.
+//! The native [`MemBackend`]: real OS threads over atomic cells
+//! ([`NativeReg`], [`NativeCas`], [`NativeCons`]), each one `AtomicU64` on
+//! a cache line of its own, in two pacing modes.
+//!
+//! The cells are bare words: the backend takes the step
+//! ([`MemBackend::step`]) before each counted access, so a cell is 64
+//! bytes and holds no handle to its backend.
 //!
 //! * **Free** ([`NativeBackend::free`]) — the step hook only counts
 //!   accesses (into a [`StripedCounter`], so the accounting itself is
@@ -201,23 +205,12 @@ struct NbInner {
     lockstep: Option<Lockstep>,
 }
 
-impl NbInner {
-    fn step(&self) {
-        self.accesses.add(my_lane(), 1);
-        if let Some(ls) = &self.lockstep {
-            let pid = CURRENT_PID
-                .with(|p| p.get())
-                .expect("lockstep threads must call NativeBackend::register first");
-            ls.step(pid);
-        }
-    }
-}
-
 /// The native memory backend (see the [module docs](self) for the two
 /// pacing modes).
 ///
-/// Cheap to clone (an [`Arc`] handle); cells hold their own handle so they
-/// can report accesses and park at the scheduler.
+/// Cheap to clone (an [`Arc`] handle). Every counted access goes through
+/// it — its [`MemBackend`] accessors report the access and park at the
+/// scheduler, then touch the cell — so the cells hold no handle.
 ///
 /// # Examples
 ///
@@ -227,8 +220,10 @@ impl NbInner {
 ///
 /// let b = NativeBackend::free();
 /// let r = b.reg();
-/// r.write(7);
-/// assert_eq!(r.read(), Some(7));
+/// b.write(&r, 7);
+/// assert_eq!(b.read(&r), Some(7));
+/// assert_eq!(b.accesses(), 2);
+/// assert_eq!(r.read(), Some(7)); // the cell's own read takes no step
 /// assert_eq!(b.accesses(), 2);
 /// ```
 #[derive(Clone)]
@@ -295,16 +290,6 @@ impl NativeBackend {
         GRANT_SPAN.with(|s| s.set(None));
     }
 
-    /// The step hook: one call = one counted atomic statement of the
-    /// calling process. Counts the statement and, on a lockstep backend,
-    /// parks the thread until the scheduler grants it. Every cell access
-    /// calls it internally; the harness calls it directly once before
-    /// each statement of a statement-level program (Fig. 3's `decide`),
-    /// whose register accesses then skip it.
-    pub fn step(&self) {
-        self.inner.step();
-    }
-
     /// Whether this backend paces statements through the lockstep
     /// scheduler.
     pub(crate) fn is_lockstep(&self) -> bool {
@@ -329,8 +314,8 @@ impl NativeBackend {
         }
     }
 
-    /// Total counted statements (cell accesses + direct
-    /// [`step`](Self::step)s) so far.
+    /// Total counted statements (stepped cell accesses + direct
+    /// [`step`](MemBackend::step)s) so far.
     pub fn accesses(&self) -> u64 {
         self.inner.accesses.sum()
     }
@@ -344,8 +329,8 @@ impl NativeBackend {
     }
 }
 
-/// The native atomic register cell: one padded `AtomicU64`, `⊥` as
-/// [`EMPTY`], bound to its backend's step hook.
+/// The native atomic register cell: one `AtomicU64` on its own cache
+/// line, `⊥` as [`EMPTY`].
 ///
 /// All accesses are `SeqCst`: the read/write consensus algorithms (Fig. 3,
 /// the universal construction's announce/publish protocol) are argued
@@ -358,42 +343,25 @@ impl NativeBackend {
 ///
 /// [`write`](RegCell::write) panics on `u64::MAX`, the `⊥` sentinel.
 pub struct NativeReg {
-    hook: Arc<NbInner>,
     word: Padded<AtomicU64>,
 }
 
-impl NativeReg {
-    /// [`read`](RegCell::read) without the step hook, for a statement
-    /// whose grant the caller already took.
-    pub(crate) fn load(&self) -> OptVal {
+impl RegCell for NativeReg {
+    fn read(&self) -> OptVal {
         match self.word.get().load(Ordering::SeqCst) {
             EMPTY => None,
             v => Some(v),
         }
     }
 
-    /// [`write`](RegCell::write) without the step hook, for a statement
-    /// whose grant the caller already took.
-    pub(crate) fn store(&self, v: Val) {
+    fn write(&self, v: Val) {
         assert_ne!(v, EMPTY, "u64::MAX is the ⊥ sentinel");
         self.word.get().store(v, Ordering::SeqCst);
     }
 }
 
-impl RegCell for NativeReg {
-    fn read(&self) -> OptVal {
-        self.hook.step();
-        self.load()
-    }
-
-    fn write(&self, v: Val) {
-        self.hook.step();
-        self.store(v);
-    }
-}
-
-/// The native compare-and-swap cell: one padded `AtomicU64`, bound to its
-/// backend's step hook.
+/// The native compare-and-swap cell: one `AtomicU64` on its own cache
+/// line.
 ///
 /// `compare_exchange(old, new, AcqRel, Acquire)` + `load(Acquire)`: every
 /// value written is released by the successful CAS and acquired by the
@@ -401,24 +369,21 @@ impl RegCell for NativeReg {
 /// visible to whoever reads its value — the only ordering the C&S object
 /// interface promises.
 pub struct NativeCas {
-    hook: Arc<NbInner>,
     word: Padded<AtomicU64>,
 }
 
 impl CasCell for NativeCas {
     fn cas(&self, old: Val, new: Val) -> bool {
-        self.hook.step();
         self.word.get().compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire).is_ok()
     }
 
     fn read(&self) -> Val {
-        self.hook.step();
         self.word.get().load(Ordering::Acquire)
     }
 }
 
-/// The native first-wins consensus cell: a padded `AtomicU64` decided by
-/// a single `compare_exchange` from `⊥`, bound to its backend's step hook.
+/// The native first-wins consensus cell: one `AtomicU64` on its own cache
+/// line, decided by a single `compare_exchange` from `⊥`.
 ///
 /// Hardware C&S has consensus number ∞, so — unlike the simulator's
 /// [`wfmem::LocalConsensus`], which Theorem 1 has to *justify* on a
@@ -432,13 +397,11 @@ impl CasCell for NativeCas {
 ///
 /// [`decide`](ConsCell::decide) panics on `u64::MAX`, the `⊥` sentinel.
 pub struct NativeCons {
-    hook: Arc<NbInner>,
     word: Padded<AtomicU64>,
 }
 
 impl ConsCell for NativeCons {
     fn decide(&self, v: Val) -> Val {
-        self.hook.step();
         assert_ne!(v, EMPTY, "u64::MAX is the ⊥ sentinel");
         match self.word.get().compare_exchange(EMPTY, v, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => v,
@@ -447,7 +410,6 @@ impl ConsCell for NativeCons {
     }
 
     fn read(&self) -> OptVal {
-        self.hook.step();
         match self.word.get().load(Ordering::Acquire) {
             EMPTY => None,
             v => Some(v),
@@ -461,15 +423,32 @@ impl MemBackend for NativeBackend {
     type Cons = NativeCons;
 
     fn reg(&self) -> NativeReg {
-        NativeReg { hook: self.inner.clone(), word: Padded::new(AtomicU64::new(EMPTY)) }
+        NativeReg { word: Padded::new(AtomicU64::new(EMPTY)) }
     }
 
     fn cas(&self, init: Val) -> NativeCas {
-        NativeCas { hook: self.inner.clone(), word: Padded::new(AtomicU64::new(init)) }
+        NativeCas { word: Padded::new(AtomicU64::new(init)) }
     }
 
     fn cons(&self) -> NativeCons {
-        NativeCons { hook: self.inner.clone(), word: Padded::new(AtomicU64::new(EMPTY)) }
+        NativeCons { word: Padded::new(AtomicU64::new(EMPTY)) }
+    }
+
+    /// The step hook: one call = one counted atomic statement of the
+    /// calling process. Counts the statement and, on a lockstep backend,
+    /// parks the thread until the scheduler grants it. Every accessor
+    /// calls it before its cell operation; the harness calls it directly
+    /// once before each statement of a statement-level program (Fig. 3's
+    /// `decide`), whose register accesses are the cells' own un-stepped
+    /// operations.
+    fn step(&self) {
+        self.inner.accesses.add(my_lane(), 1);
+        if let Some(ls) = &self.inner.lockstep {
+            let pid = CURRENT_PID
+                .with(|p| p.get())
+                .expect("lockstep threads must call NativeBackend::register first");
+            ls.step(pid);
+        }
     }
 }
 
@@ -484,24 +463,25 @@ pub(crate) mod tests {
     // which reads that backend's statement audit (`SimBackend::steps`,
     // `NativeBackend::accesses`). Every clause runs on both backends: the
     // `SimBackend` runs and the counting clauses are below, the native
-    // register, C&S and consensus runs are in `cells::tests`.
+    // register, C&S and consensus runs are in `cells::tests`. Each access
+    // goes through the backend's stepped accessors and is counted there.
 
     /// A register starts at ⊥ and reads back what was written.
     pub(crate) fn reg_clause<B: MemBackend>(b: B, count: impl Fn(&B) -> u64) {
         let r = b.reg();
-        assert_eq!(r.read(), None, "a register starts at ⊥");
-        r.write(3);
-        assert_eq!(r.read(), Some(3));
+        assert_eq!(b.read(&r), None, "a register starts at ⊥");
+        b.write(&r, 3);
+        assert_eq!(b.read(&r), Some(3));
         assert_eq!(count(&b), 3, "one statement per access");
     }
 
     /// A failed C&S leaves the value and a successful one installs it.
     pub(crate) fn cas_clause<B: MemBackend>(b: B, count: impl Fn(&B) -> u64) {
         let w = b.cas(2);
-        assert!(!w.cas(0, 1), "a C&S with a stale `old` fails");
-        assert_eq!(w.read(), 2, "and leaves the value");
-        assert!(w.cas(2, 7));
-        assert_eq!(w.read(), 7);
+        assert!(!b.compare_swap(&w, 0, 1), "a C&S with a stale `old` fails");
+        assert_eq!(b.read_word(&w), 2, "and leaves the value");
+        assert!(b.compare_swap(&w, 2, 7));
+        assert_eq!(b.read_word(&w), 7);
         assert_eq!(count(&b), 4, "one statement per access");
     }
 
@@ -509,32 +489,39 @@ pub(crate) mod tests {
     /// returns the winner.
     pub(crate) fn cons_clause<B: MemBackend>(b: B, count: impl Fn(&B) -> u64) {
         let c = b.cons();
-        assert_eq!(c.read(), None, "a consensus cell starts undecided");
-        assert_eq!(c.decide(4), 4);
-        assert_eq!(c.decide(6), 4, "the first proposal wins");
-        assert_eq!(c.read(), Some(4));
+        assert_eq!(b.read_decided(&c), None, "a consensus cell starts undecided");
+        assert_eq!(b.decide(&c, 4), 4);
+        assert_eq!(b.decide(&c, 6), 4, "the first proposal wins");
+        assert_eq!(b.read_decided(&c), Some(4));
         assert_eq!(count(&b), 4, "one statement per access");
     }
 
-    /// Each access counts exactly one statement.
+    /// Each stepped access counts exactly one statement, and a cell's own
+    /// operations count none.
     fn counting_clause<B: MemBackend>(b: B, count: impl Fn(&B) -> u64) {
         let (r, w, c) = (b.reg(), b.cas(0), b.cons());
-        r.write(1);
-        r.read();
-        w.cas(0, 5);
-        w.read();
-        c.decide(9);
-        c.read();
+        b.write(&r, 1);
+        b.read(&r);
+        b.compare_swap(&w, 0, 5);
+        b.read_word(&w);
+        b.decide(&c, 9);
+        b.read_decided(&c);
         assert_eq!(count(&b), 6, "one statement per access");
+        r.write(2);
+        assert_eq!((r.read(), w.read(), c.read()), (Some(2), 5, Some(9)));
+        assert_eq!(count(&b), 6, "un-stepped cell operations count nothing");
     }
 
-    /// Two backends of one kind count separately.
+    /// Two backends of one kind count separately, and an access counts on
+    /// the backend it goes through, whichever backend made the cell.
     fn separation_clause<B: MemBackend>(new: impl Fn() -> B, count: impl Fn(&B) -> u64) {
         let (a, b) = (new(), new());
-        a.reg().write(1);
-        b.reg().write(1);
-        b.reg().read();
+        a.write(&a.reg(), 1);
+        b.write(&b.reg(), 1);
+        b.read(&b.reg());
         assert_eq!((count(&a), count(&b)), (1, 2), "backends count separately");
+        b.read(&a.reg());
+        assert_eq!((count(&a), count(&b)), (1, 3), "the accessing backend counts");
     }
 
     #[test]
@@ -568,8 +555,8 @@ pub(crate) mod tests {
         b.step();
         assert_eq!(b.accesses(), 1, "one statement per direct step");
         let r = b.reg();
-        r.store(5);
-        assert_eq!(r.load(), Some(5));
+        r.write(5);
+        assert_eq!(r.read(), Some(5));
         assert_eq!(b.accesses(), 1, "hook-free register accesses count nothing");
     }
 

@@ -1,9 +1,11 @@
 //! Cache-line padding and striped counting: the building blocks of the
 //! native backend's cells.
 //!
-//! Each [`NativeBackend`](crate::backend::NativeBackend) cell owns one
+//! Each [`NativeBackend`](crate::backend::NativeBackend) cell is one
 //! `AtomicU64` wrapped in [`Padded`], a `#[repr(align(64))]` box that
-//! rounds the cell up to a full x86-64/ARM cache line. Shared cells that
+//! rounds the cell up to a full x86-64/ARM cache line, and nothing else:
+//! the backend takes the step, so the cell holds no handle to it and a
+//! slice of cells is a slice of words, one line each. Shared cells that
 //! the algorithms hammer from many threads (the Fig. 3 slots, the
 //! universal log) would otherwise false-share a line and serialize on the
 //! coherence protocol; padding makes contention a property of the
@@ -107,7 +109,7 @@ mod tests {
     use crate::backend::{NativeBackend, NativeCas, NativeCons, NativeReg};
     use std::sync::Arc;
     use std::thread;
-    use wfmem::backend::{CasCell, ConsCell, MemBackend, RegCell};
+    use wfmem::backend::MemBackend;
 
     // The native runs of the cell contract's register, C&S and consensus
     // clauses (see `backend::tests`).
@@ -130,14 +132,15 @@ mod tests {
     fn padded_cells_occupy_distinct_cache_lines() {
         assert_eq!(std::mem::align_of::<Padded<AtomicU64>>(), 64);
         assert_eq!(std::mem::size_of::<Padded<AtomicU64>>(), 64);
-        // Each backend cell is one line for its hook handle and one line
-        // for its word alone, so no two cells' words share a line.
+        // Each backend cell is its word alone on one line, so no two
+        // cells' words share a line and no cell spends a line on anything
+        // else.
         for (align, size) in [
             (std::mem::align_of::<NativeReg>(), std::mem::size_of::<NativeReg>()),
             (std::mem::align_of::<NativeCas>(), std::mem::size_of::<NativeCas>()),
             (std::mem::align_of::<NativeCons>(), std::mem::size_of::<NativeCons>()),
         ] {
-            assert_eq!((align, size), (64, 128));
+            assert_eq!((align, size), (64, 64));
         }
     }
 
@@ -153,13 +156,13 @@ mod tests {
             let c = Arc::new(b.cons());
             let winners: Vec<u64> = (0..4u64)
                 .map(|t| {
-                    let c = Arc::clone(&c);
+                    let (b, c) = (b.clone(), Arc::clone(&c));
                     thread::spawn(move || {
                         // Seed-dependent spin varies arrival order.
                         for _ in 0..((round * 7 + t * 13) % 32) {
                             std::hint::spin_loop();
                         }
-                        c.decide(t + 1)
+                        b.decide(&c, t + 1)
                     })
                 })
                 .collect::<Vec<_>>()
@@ -169,7 +172,7 @@ mod tests {
             let first = winners[0];
             assert!(winners.iter().all(|&w| w == first), "round {round}: split decision");
             assert!((1..=4).contains(&first));
-            assert_eq!(c.read(), Some(first));
+            assert_eq!(b.read_decided(&c), Some(first));
         }
     }
 
@@ -180,12 +183,12 @@ mod tests {
             let w = Arc::new(b.cas(0));
             let handles: Vec<_> = (0..4)
                 .map(|_| {
-                    let w = Arc::clone(&w);
+                    let (b, w) = (b.clone(), Arc::clone(&w));
                     thread::spawn(move || {
                         for _ in 0..100 {
                             loop {
-                                let v = w.read();
-                                if w.cas(v, v + 1) {
+                                let v = b.read_word(&w);
+                                if b.compare_swap(&w, v, v + 1) {
                                     break;
                                 }
                             }
@@ -196,7 +199,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert_eq!(w.read(), 400);
+            assert_eq!(b.read_word(&w), 400);
         }
     }
 
@@ -223,6 +226,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sentinel")]
     fn reg_rejects_sentinel() {
-        NativeBackend::free().reg().write(u64::MAX);
+        let b = NativeBackend::free();
+        b.write(&b.reg(), u64::MAX);
     }
 }

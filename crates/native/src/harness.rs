@@ -41,7 +41,7 @@ use sched_sim::kernel::OpRecord;
 use sched_sim::machine::{StepCtx, StepMachine, StepOutcome};
 use sched_sim::program::ProgMachine;
 use sched_sim::rng::SplitMix64;
-use wfmem::backend::MemBackend;
+use wfmem::backend::{MemBackend, RegCell};
 use wfmem::Val;
 
 use crate::backend::{NativeBackend, NativeReg};
@@ -97,13 +97,16 @@ impl<O> FamilyRun<O> {
 
 /// Spawns one thread per plan, runs `work` on each, and collects the
 /// per-operation records, stamped through the shared ticket clock (free)
-/// or from the lockstep grants (lockstep).
+/// or from the lockstep grants (lockstep). Each worker sizes its record
+/// buffer to its plan before its first operation, and the merged buffer
+/// is sized to the total, so no buffer grows while operations run.
 fn run_threads<O, F>(backend: &NativeBackend, plans: Vec<Vec<O>>, work: F) -> FamilyRun<O>
 where
     O: Clone + Send + Sync + 'static,
     F: Fn(&NativeBackend, u32, &O) -> (Val, u64) + Send + Sync + 'static,
 {
     let n = plans.len();
+    let total = plans.iter().map(Vec::len).sum();
     let lockstep = backend.is_lockstep();
     let clock = Arc::new(AtomicU64::new(0));
     let work = Arc::new(work);
@@ -117,7 +120,7 @@ where
             let plans = Arc::clone(&shared_plans);
             thread::spawn(move || {
                 backend.register(pid);
-                let mut records = Vec::new();
+                let mut records = Vec::with_capacity(plans[pid as usize].len());
                 let mut retries = 0;
                 for (inv, op) in plans[pid as usize].iter().enumerate() {
                     let (t0, t1, (out, r)) = if lockstep {
@@ -145,7 +148,7 @@ where
             })
         })
         .collect();
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(total);
     let mut retries = 0;
     for h in handles {
         let (r, rt) = h.join().expect("native worker thread panicked");
@@ -163,18 +166,19 @@ where
 // ---------------------------------------------------------------------------
 
 /// Fig. 3's `P[1..3]` as three native registers: the memory each thread
-/// hands the `uni::consensus` program. Its loads and stores skip the step
-/// hook, because [`run_fig3`] takes the one grant per statement itself.
+/// hands the `uni::consensus` program. It uses the registers' own
+/// un-stepped operations, because [`run_fig3`] takes the one grant per
+/// statement itself.
 #[derive(Clone)]
 struct NativeP(Arc<[NativeReg; 3]>);
 
 impl ConsensusRegs for NativeP {
     fn read(&self, i: usize) -> Option<Val> {
-        self.0[i].load()
+        self.0[i].read()
     }
 
     fn write(&mut self, i: usize, v: Val) {
-        self.0[i].store(v);
+        self.0[i].write(v);
     }
 }
 

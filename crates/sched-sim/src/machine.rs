@@ -246,13 +246,16 @@ impl<M> Clone for Box<dyn StepMachine<M>> {
     }
 }
 
+/// The statement closure of a [`FnMachine`].
+type StepFn<M> = dyn Fn(&mut M, u32) -> (StepOutcome, Option<u64>) + Send + Sync;
+
 /// A machine built from a closure, for tests and tiny fixtures.
 ///
 /// The closure is called once per statement with `(mem, call_count)` and
 /// returns the outcome; `output` reports the value recorded via the second
 /// closure slot.
 pub struct FnMachine<M> {
-    f: std::sync::Arc<dyn Fn(&mut M, u32) -> (StepOutcome, Option<u64>) + Send + Sync>,
+    f: std::sync::Arc<StepFn<M>>,
     calls: u32,
     out: Option<u64>,
     fp: Footprint,

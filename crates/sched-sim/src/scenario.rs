@@ -369,7 +369,7 @@ impl<M> RunResult<M> {
             return None;
         }
         let first = *self.outputs.first()?;
-        self.outputs.iter().all(|&o| o == first && o.is_some()).then(|| first)?
+        self.outputs.iter().all(|&o| o == first && o.is_some()).then_some(first)?
     }
 
     /// Mean statements per completed operation.

@@ -13,11 +13,11 @@
 //!
 //! * [`SimBackend`] (this module) — single-threaded, deterministic
 //!   cells (a plain word for the register and the C&S, a
-//!   [`LocalConsensus`] for the consensus cell); every access is counted
-//!   as one atomic statement, so step-complexity claims (e.g. the
+//!   [`LocalConsensus`] for the consensus cell); every stepped access is
+//!   counted as one atomic statement, so step-complexity claims (e.g. the
 //!   universal construction's accesses per operation) stay auditable, and
-//! * the `native` crate's backends — cache-line-padded
-//!   `std::sync::atomic` cells driven by real OS threads, either *free*
+//! * the `native` crate's backends — one cache-line-aligned
+//!   `std::sync::atomic` word per cell, driven by real OS threads, either *free*
 //!   (whatever interleaving the hardware and the commodity scheduler
 //!   produce) or *lockstep* (a deterministic seeded token-passing scheduler
 //!   that enforces the paper's hybrid axioms at statement granularity).
@@ -31,21 +31,29 @@
 //!
 //! The paper counts *atomic statements*: one shared-memory access per
 //! statement, quanta measured in statements (Axiom 2). The trait mirrors
-//! that accounting: **every cell access performs exactly one step**
-//! internally, before the access takes effect. A backend may use that
-//! step to count the statement ([`SimBackend`]), to park the calling
-//! thread until a scheduler grants it the statement (native lockstep), or
-//! only to count it (native free). Between two of its steps a process
-//! performs only private computation plus the single cell access the
-//! second step licenses — which is precisely the paper's "one atomic
-//! statement" granularity.
+//! that accounting: **every stepped access performs exactly one step**
+//! before the access takes effect. The backend takes the step, not the
+//! cell: a cell is plain state (a bare `Cell` or one padded atomic word)
+//! whose [`RegCell`]/[`CasCell`]/[`ConsCell`] operations take no step, and
+//! [`MemBackend`]'s accessors ([`read`](MemBackend::read),
+//! [`write`](MemBackend::write), [`compare_swap`](MemBackend::compare_swap),
+//! [`read_word`](MemBackend::read_word), [`decide`](MemBackend::decide),
+//! [`read_decided`](MemBackend::read_decided)) are each one
+//! [`step`](MemBackend::step) followed by one cell operation. A backend
+//! may use that step to count the statement ([`SimBackend`]), to park the
+//! calling thread until a scheduler grants it the statement (native
+//! lockstep), or only to count it (native free). Between two of its steps
+//! a process performs only private computation plus the single cell
+//! access the second step licenses — which is precisely the paper's "one
+//! atomic statement" granularity.
 //!
 //! Statement-level programs whose statements are not all cell accesses
 //! (Fig. 3's statement 1, `v := val`, touches no shared cell but is one
-//! of the eight statements Lemma 1 counts) do not go through this trait:
-//! the `native` harness runs such a program itself and takes one step per
-//! statement, so a quantum of `Q = 8` means exactly what it means in the
-//! paper.
+//! of the eight statements Lemma 1 counts) do not use the accessors: the
+//! `native` harness runs such a program itself, calls
+//! [`step`](MemBackend::step) once per statement and touches its cells
+//! through their un-stepped operations, so a quantum of `Q = 8` means
+//! exactly what it means in the paper.
 //!
 //! # Examples
 //!
@@ -54,10 +62,12 @@
 //!
 //! let b = SimBackend::new();
 //! let r = b.reg();
-//! assert_eq!(r.read(), None);     // ⊥ initially
-//! r.write(7);
-//! assert_eq!(r.read(), Some(7));
+//! assert_eq!(b.read(&r), None);   // ⊥ initially
+//! b.write(&r, 7);
+//! assert_eq!(b.read(&r), Some(7));
 //! assert_eq!(b.steps(), 3);       // every access counted one statement
+//! assert_eq!(r.read(), Some(7));  // the cell's own read takes no step
+//! assert_eq!(b.steps(), 3);
 //! ```
 
 use std::cell::{Cell, RefCell};
@@ -70,7 +80,9 @@ use crate::{LocalConsensus, OptVal, Val};
 /// The cell the paper's read/write algorithms (Fig. 3, the announce array
 /// of the universal construction) are built from. Methods take `&self`
 /// because on a native backend many threads share one cell; interior
-/// mutability is the implementation's concern.
+/// mutability is the implementation's concern. They take no step: a
+/// counted access goes through [`MemBackend::read`] /
+/// [`MemBackend::write`].
 pub trait RegCell {
     /// Atomically reads the register (`None` is the paper's `⊥`).
     fn read(&self) -> OptVal;
@@ -83,7 +95,8 @@ pub trait RegCell {
 ///
 /// The consensus-number-∞ primitive real multiprocessors offer; backends
 /// map it either to a plain word (simulator) or to a hardware
-/// `compare_exchange` (native).
+/// `compare_exchange` (native). Un-stepped, like [`RegCell`]; the counted
+/// accesses are [`MemBackend::compare_swap`] and [`MemBackend::read_word`].
 pub trait CasCell {
     /// Atomically: if the word equals `old`, set it to `new` and return
     /// `true`; otherwise return `false`.
@@ -100,7 +113,8 @@ pub trait CasCell {
 /// proposed by the first. Theorem 1 justifies modeling it as one atomic
 /// statement on a hybrid uniprocessor; the native backends realize it with
 /// a single `compare_exchange` (consensus number ∞ covers the unbounded
-/// case outright).
+/// case outright). Un-stepped, like [`RegCell`]; the counted accesses are
+/// [`MemBackend::decide`] and [`MemBackend::read_decided`].
 pub trait ConsCell {
     /// Atomically proposes `v`; returns the decided value (first proposal
     /// wins).
@@ -110,13 +124,16 @@ pub trait ConsCell {
     fn read(&self) -> OptVal;
 }
 
-/// A family of shared-memory cells.
+/// A family of shared-memory cells, and the step every counted access to
+/// them takes.
 ///
-/// Implementations must uphold the step contract described in the
-/// [module docs](self): one internal step per cell access, and
-/// sequentially-consistent behavior of the cells themselves
-/// (see `BACKENDS.md` for the per-backend memory-ordering argument).
-pub trait MemBackend {
+/// Implementations provide the cell constructors and [`step`](Self::step);
+/// the accessors are provided, each one step and then one cell operation
+/// (the step contract in the [module docs](self)). The cells themselves
+/// must be sequentially consistent (see `BACKENDS.md` for the per-backend
+/// memory-ordering argument). `Clone` is cheap — a handle — so an object
+/// built over the backend keeps its own clone to step through.
+pub trait MemBackend: Clone {
     /// This backend's atomic register cell.
     type Reg: RegCell;
     /// This backend's compare-and-swap cell.
@@ -132,30 +149,59 @@ pub trait MemBackend {
 
     /// Creates an undecided consensus cell.
     fn cons(&self) -> Self::Cons;
+
+    /// One atomic statement of the calling process: counts it and, on a
+    /// scheduled backend, waits until the statement is granted.
+    fn step(&self);
+
+    /// One step, then [`RegCell::read`].
+    fn read(&self, r: &Self::Reg) -> OptVal {
+        self.step();
+        r.read()
+    }
+
+    /// One step, then [`RegCell::write`].
+    fn write(&self, r: &Self::Reg, v: Val) {
+        self.step();
+        r.write(v);
+    }
+
+    /// One step, then [`CasCell::cas`].
+    fn compare_swap(&self, w: &Self::Cas, old: Val, new: Val) -> bool {
+        self.step();
+        w.cas(old, new)
+    }
+
+    /// One step, then [`CasCell::read`].
+    fn read_word(&self, w: &Self::Cas) -> Val {
+        self.step();
+        w.read()
+    }
+
+    /// One step, then [`ConsCell::decide`].
+    fn decide(&self, c: &Self::Cons, v: Val) -> Val {
+        self.step();
+        c.decide(v)
+    }
+
+    /// One step, then [`ConsCell::read`].
+    fn read_decided(&self, c: &Self::Cons) -> OptVal {
+        self.step();
+        c.read()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // The simulator backend
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct SimInner {
-    steps: Cell<u64>,
-}
-
-impl SimInner {
-    fn bump(&self) {
-        self.steps.set(self.steps.get() + 1);
-    }
-}
-
 /// The deterministic single-threaded backend over the simulator cells.
 ///
-/// Cells count every access into one statement counter per backend —
+/// Every step counts into one statement counter per backend —
 /// [`steps`](SimBackend::steps) — so backend-generic algorithms remain
 /// step-auditable exactly like their statement-level counterparts.
 ///
-/// This backend is `!Send` by construction (cells share an [`Rc`]): a
+/// This backend is `!Send` by construction (clones share an [`Rc`]): a
 /// backend-generic algorithm runs on it sequentially, in program order,
 /// which is itself a legal hybrid schedule (no preemptions at all).
 /// Interleaved executions of the *same generic code* are the native
@@ -165,16 +211,17 @@ impl SimInner {
 /// # Examples
 ///
 /// ```
-/// use wfmem::backend::{ConsCell, MemBackend, SimBackend};
+/// use wfmem::backend::{MemBackend, SimBackend};
 ///
 /// let b = SimBackend::new();
 /// let c = b.cons();
-/// assert_eq!(c.decide(4), 4);
-/// assert_eq!(c.decide(9), 4); // first proposal won
+/// assert_eq!(b.decide(&c, 4), 4);
+/// assert_eq!(b.decide(&c, 9), 4); // first proposal won
+/// assert_eq!(b.steps(), 2);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SimBackend {
-    inner: Rc<SimInner>,
+    steps: Rc<Cell<u64>>,
 }
 
 impl SimBackend {
@@ -185,68 +232,53 @@ impl SimBackend {
 
     /// Total counted statements across all processes and cells.
     pub fn steps(&self) -> u64 {
-        self.inner.steps.get()
+        self.steps.get()
     }
 }
 
-/// [`SimBackend`]'s register cell.
+/// [`SimBackend`]'s register cell: a bare `Cell`.
 #[derive(Debug)]
-pub struct SimReg {
-    hook: Rc<SimInner>,
-    value: Cell<OptVal>,
-}
+pub struct SimReg(Cell<OptVal>);
 
 impl RegCell for SimReg {
     fn read(&self) -> OptVal {
-        self.hook.bump();
-        self.value.get()
+        self.0.get()
     }
 
     fn write(&self, v: Val) {
-        self.hook.bump();
-        self.value.set(Some(v));
+        self.0.set(Some(v));
     }
 }
 
-/// [`SimBackend`]'s compare-and-swap cell.
+/// [`SimBackend`]'s compare-and-swap cell: a bare `Cell`.
 #[derive(Debug)]
-pub struct SimCas {
-    hook: Rc<SimInner>,
-    value: Cell<Val>,
-}
+pub struct SimCas(Cell<Val>);
 
 impl CasCell for SimCas {
     fn cas(&self, old: Val, new: Val) -> bool {
-        self.hook.bump();
-        let hit = self.value.get() == old;
+        let hit = self.0.get() == old;
         if hit {
-            self.value.set(new);
+            self.0.set(new);
         }
         hit
     }
 
     fn read(&self) -> Val {
-        self.hook.bump();
-        self.value.get()
+        self.0.get()
     }
 }
 
-/// [`SimBackend`]'s consensus cell (a step-counted [`LocalConsensus`]).
+/// [`SimBackend`]'s consensus cell: a [`LocalConsensus`] in a `RefCell`.
 #[derive(Debug)]
-pub struct SimCons {
-    hook: Rc<SimInner>,
-    cell: RefCell<LocalConsensus>,
-}
+pub struct SimCons(RefCell<LocalConsensus>);
 
 impl ConsCell for SimCons {
     fn decide(&self, v: Val) -> Val {
-        self.hook.bump();
-        self.cell.borrow_mut().decide(v)
+        self.0.borrow_mut().decide(v)
     }
 
     fn read(&self) -> OptVal {
-        self.hook.bump();
-        self.cell.borrow().read()
+        self.0.borrow().read()
     }
 }
 
@@ -256,14 +288,18 @@ impl MemBackend for SimBackend {
     type Cons = SimCons;
 
     fn reg(&self) -> SimReg {
-        SimReg { hook: self.inner.clone(), value: Cell::new(None) }
+        SimReg(Cell::new(None))
     }
 
     fn cas(&self, init: Val) -> SimCas {
-        SimCas { hook: self.inner.clone(), value: Cell::new(init) }
+        SimCas(Cell::new(init))
     }
 
     fn cons(&self) -> SimCons {
-        SimCons { hook: self.inner.clone(), cell: RefCell::new(LocalConsensus::new()) }
+        SimCons(RefCell::new(LocalConsensus::new()))
+    }
+
+    fn step(&self) {
+        self.steps.set(self.steps.get() + 1);
     }
 }

@@ -33,8 +33,8 @@
 //!
 //! The [`backend`] module carries the algorithms onto real hardware
 //! threads: [`MemBackend`] is the
-//! cell vocabulary (register / C&S / consensus cell, one counted step per
-//! access) that lets the C&S object and the universal construction in
+//! cell vocabulary (register / C&S / consensus cell, each access one
+//! counted step taken by the backend) that lets the C&S object and the universal construction in
 //! `hybrid-wf::generic` be written once and instantiated both on
 //! [`SimBackend`] (deterministic, single-threaded, step-counted) and on
 //! the `native` crate's cache-padded atomic backends. The

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full offline gate for the workspace: release build, tests, docs, and every
-# experiment grid. Everything here runs without network access — the
+# Full offline gate for the workspace: release build, tests, clippy, docs,
+# and every experiment grid. Everything here runs without network access — the
 # workspace has no external dependencies (see DESIGN.md, "Dependency policy").
 #
 # The grid stage runs the whole experiment table once (`experiments` with
@@ -68,6 +68,9 @@ fi
 
 echo "== cargo test -q (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo test -q
+
+echo "== cargo clippy --all-targets (warnings are errors) =="
+cargo clippy --offline --all-targets -- -D warnings
 
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

@@ -146,7 +146,7 @@ fn racy_fai_machine(me: usize, rounds: u32) -> Box<dyn sched_sim::StepMachine<Ra
             (StepOutcome::Continue, None)
         } else {
             mem.0 = mem.1[me] + 1;
-            let done = (calls + 1) / 2 >= rounds;
+            let done = calls.div_ceil(2) >= rounds;
             (
                 if done { StepOutcome::Finished } else { StepOutcome::InvocationEnd },
                 Some(mem.1[me]),
