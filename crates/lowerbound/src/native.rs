@@ -26,20 +26,26 @@
 //! spawns one OS thread per process, and nesting that under a worker pool
 //! would oversubscribe the machine. Lockstep cells are deterministic per
 //! seed (ops, steps, retries and violations are pure functions of the
-//! seed), so they alone make up the committed `BENCH_native.json`. Free
-//! cells are inherently racy: the host scheduler decides their step and
-//! retry counts and their Fig. 3 verdicts, so they are gated on every run
-//! but their rows go whole into the gitignored `.timing.json` sidecar.
+//! seed), so they alone make up the committed `BENCH_native.json`. Every
+//! Fig. 3 lockstep cell is also replayed in the simulator
+//! ([`fig3_sim_ops`]): its records must equal the simulator kernel's, or
+//! the grid panics. Free cells are inherently racy: the host scheduler
+//! decides their step and retry counts and their Fig. 3 verdicts, so they
+//! are gated on every run but their rows go whole into the gitignored
+//! `.timing.json` sidecar.
 
 use std::time::Duration;
 
 use hybrid_wf::oracle::{CasRegisterSpec, QueueSpec};
-use hybrid_wf::uni::consensus::MIN_QUANTUM;
+use hybrid_wf::uni::consensus::{decide_machine, UniConsensusMem, MIN_QUANTUM};
 use hybrid_wf::universal::CounterSpec;
 use native::harness::{
     check_run_linearizable, counter_plans, fig3_agreement, queue_plans, run_cas, run_fig3,
     run_universal, Pacing,
 };
+use sched_sim::decision::SeededRandom;
+use sched_sim::ids::{Priority, ProcessorId};
+use sched_sim::kernel::{Kernel, OpRecord, SystemSpec};
 use sched_sim::report::{wall_ms, Json, Kind};
 
 use crate::fuzz::Expect;
@@ -134,6 +140,20 @@ struct CellCfg {
 /// not just a measurement — was lost.
 pub const Q1_SPLIT_SEEDS: [(usize, [u64; 3]); 2] = [(3, [43, 55, 62]), (4, [3, 18, 35])];
 
+/// The simulator's Fig. 3 run that a native lockstep `run_fig3(inputs,
+/// Pacing::Lockstep { seed, quantum: q })` reproduces: one
+/// `decide_machine` per input on one processor at equal priority, under
+/// `SystemSpec::hybrid(q)` and `SeededRandom::new(seed)`. Returns the
+/// kernel's op log, which the native run's records must equal.
+pub fn fig3_sim_ops(inputs: &[u64], q: u32, seed: u64) -> Vec<OpRecord> {
+    let mut k = Kernel::new(UniConsensusMem::default(), SystemSpec::hybrid(q));
+    for &v in inputs {
+        k.add_process(ProcessorId(0), Priority(1), Box::new(decide_machine(v)));
+    }
+    k.run(&mut SeededRandom::new(seed), u64::MAX);
+    k.ops().to_vec()
+}
+
 /// The grid rows.
 fn grid_cfgs() -> Vec<CellCfg> {
     let seeds: Vec<u64> = (0..6).collect();
@@ -224,6 +244,13 @@ fn run_one(cfg: &CellCfg, seed: u64) -> NativeCell {
         NativeFamily::Fig3 => {
             let inputs: Vec<u64> = (0..n as u64).map(|i| 10 * (i + 1)).collect();
             let run = run_fig3(&inputs, pacing);
+            if let Pacing::Lockstep { seed, quantum } = pacing {
+                assert_eq!(
+                    run.records,
+                    fig3_sim_ops(&inputs, quantum, seed),
+                    "native Fig. 3 differs from the simulator: n={n} Q={quantum} seed={seed}"
+                );
+            }
             let v = u64::from(fig3_agreement(&run).is_err());
             (run.records.len(), run.accesses, run.retries, v, run.wall)
         }

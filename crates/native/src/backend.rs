@@ -13,30 +13,28 @@
 //!   one where the paper's quantum axiom does **not** hold: Fig. 3 may
 //!   disagree here, and that disagreement is a *measurement* (see
 //!   EXPERIMENTS.md, "Native execution").
-//! * **Lockstep** ([`NativeBackend::lockstep`]) — the step hook parks the
-//!   calling thread until a deterministic token-passing scheduler grants
-//!   it the next atomic statement. The scheduler enforces the paper's
-//!   hybrid axioms at statement granularity — always run a
-//!   maximal-priority parked process (Axiom 1), switch between
-//!   equal-priority processes only at quantum boundaries of `Q` counted
-//!   statements (Axiom 2) — with ties broken by a seeded in-tree
-//!   [`SplitMix64`]. Same seed, same configuration ⇒ bit-identical
-//!   schedule and outcome, on any platform: the scheduler only decides
-//!   when **no** thread is running (all live threads are parked at their
-//!   step hooks), so OS timing can change *nothing* about the
-//!   interleaving. This is how the generic algorithms are run under the
-//!   paper's model on real threads — `Q ≥ 8` must make Fig. 3 agree
-//!   (Theorem 1), `Q = 1` admits the same disagreements the simulator's
-//!   explorer finds.
-//!
-//! The lockstep rendezvous costs a mutex/condvar handoff per statement —
-//! it is a *model checker on real threads*, not a benchmark mode; free
-//! mode is the one that measures hardware speed.
+//! * **Lockstep** ([`NativeBackend::lockstep`]) — the simulator's hybrid
+//!   scheduler paces the threads: [`NativeBackend::pace`] runs a
+//!   `sched_sim` [`Kernel`] (`SystemSpec::hybrid(Q)`, one processor, a
+//!   [`SeededRandom`] decider) whose process `p` stands in for thread `p`.
+//!   Each kernel statement grants the thread one statement and returns its
+//!   report at its next sync point: its next step (`Continue`), an
+//!   invocation end (`InvocationEnd`) or [`finish`](NativeBackend::finish)
+//!   (`Finished`). So Axioms 1 and 2 and the records ([`Kernel::ops`]) are
+//!   the kernel's, and it decides while every thread waits: same seed,
+//!   same schedule. A statement costs two mutex/condvar handoffs.
 
+use std::cell::{Cell, RefCell};
+use std::hash::Hasher;
+use std::panic;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
-use sched_sim::rng::SplitMix64;
+use sched_sim::decision::SeededRandom;
+use sched_sim::ids::{Priority, ProcessorId};
+use sched_sim::kernel::{Kernel, SystemSpec};
+use sched_sim::machine::{StepCtx, StepMachine, StepOutcome};
 use wfmem::backend::{CasCell, ConsCell, MemBackend, RegCell};
 use wfmem::{OptVal, Val};
 
@@ -47,13 +45,10 @@ use crate::cells::{Padded, StripedCounter, EMPTY};
 const COUNTER_LANES: usize = 16;
 
 thread_local! {
-    // The registered process id of the current thread (lockstep mode), and
-    // a cheap per-thread lane for the striped access counter (free mode).
-    static CURRENT_PID: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
-    static COUNTER_LANE: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    // Lockstep: the (first, last) global statement indices granted to the
-    // current thread since the last `take_grant_span` (or `register`).
-    static GRANT_SPAN: std::cell::Cell<Option<(u64, u64)>> = const { std::cell::Cell::new(None) };
+    // The current thread's lockstep registration, and a cheap per-thread
+    // lane for the striped access counter (free mode).
+    static REGISTRATION: RefCell<Option<Registration>> = const { RefCell::new(None) };
+    static COUNTER_LANE: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
@@ -71,128 +66,148 @@ fn my_lane() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The lockstep scheduler
+// Lockstep pacing: the handoff between the kernel and the threads
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PState {
-    /// Registered but not yet parked at its first statement.
-    NotStarted,
-    /// Parked at its step hook, waiting for a grant.
-    Parked,
-    /// Granted a statement and executing it (at most one process at a
-    /// time).
-    Running,
-    /// Finished its workload.
-    Done,
+/// One thread's side of the handoff.
+#[derive(Default)]
+struct Slot {
+    /// Granted a statement it has not started.
+    granted: bool,
+    /// Running a statement it has not reported.
+    running: bool,
+    /// Reported `Finished`, or returned from its workload.
+    done: bool,
+    /// The last statement's outcome and output, until the kernel takes it.
+    report: Option<(StepOutcome, Option<Val>)>,
 }
 
-struct LsState {
-    status: Vec<PState>,
-    prio: Vec<u32>,
-    /// Pending grant: the process allowed to take its next statement.
-    grant: Option<u32>,
-    /// The most recently granted process (quantum continuity).
-    last: Option<u32>,
-    /// Statements left in the current quantum window.
-    ticks_left: u32,
-    quantum: u32,
-    rng: SplitMix64,
-    /// Processes that have parked at least once; scheduling starts only
-    /// when all of them have (so thread spawn order cannot leak into the
-    /// schedule).
-    started: usize,
-    /// Total granted statements.
-    statements: u64,
-    /// Equal-priority preemptions taken at quantum expiry.
-    preemptions: u64,
+struct Handoff {
+    slots: Vec<Slot>,
+    /// A process ended without reporting `Finished`: every wait gives up.
+    aborted: bool,
 }
 
-impl LsState {
-    /// Picks the next process to grant among the parked ones, enforcing
-    /// Axiom 1 (maximal priority) and Axiom 2 (continue the current
-    /// process until its quantum of `Q` statements is exhausted, then
-    /// rotate — seeded-randomly — among its equal-priority peers).
-    fn schedule(&mut self) -> Option<u32> {
-        let parked: Vec<u32> = (0..self.status.len() as u32)
-            .filter(|&p| self.status[p as usize] == PState::Parked)
-            .collect();
-        if parked.is_empty() {
-            return None;
-        }
-        let top = parked.iter().map(|&p| self.prio[p as usize]).max().unwrap();
-        let eligible: Vec<u32> =
-            parked.into_iter().filter(|&p| self.prio[p as usize] == top).collect();
-        let continuing = self.last.filter(|&l| {
-            self.status[l as usize] == PState::Parked && self.prio[l as usize] == top
-        });
-        if let Some(last) = continuing {
-            if self.ticks_left > 0 {
-                self.ticks_left -= 1;
-                return Some(last);
-            }
-        }
-        // Fresh quantum window for a (possibly) different process.
-        let pick = eligible[self.rng.index(eligible.len())];
-        if continuing.is_some_and(|l| l != pick) {
-            self.preemptions += 1;
-        }
-        self.ticks_left = self.quantum - 1;
-        Some(pick)
-    }
-}
+/// The unwind payload of a thread released by an aborted run.
+struct Aborted;
 
+/// A lockstep backend's parameters and handoff, with a condvar for the pacer and one per thread.
 struct Lockstep {
-    m: Mutex<LsState>,
-    cv: Condvar,
-    n: usize,
+    prio: Vec<u32>,
+    quantum: u32,
+    seed: u64,
+    handoff: Mutex<Handoff>,
+    pacer: Condvar,
+    threads: Vec<Condvar>,
 }
 
 impl Lockstep {
-    /// Parks `pid` until the scheduler grants it one statement.
-    fn step(&self, pid: u32) {
-        let mut st = self.m.lock().unwrap();
-        if st.status[pid as usize] == PState::NotStarted {
-            st.started += 1;
-        }
-        st.status[pid as usize] = PState::Parked;
-        self.cv.notify_all();
+    /// Locks the handoff, ignoring poison: the abort after a panic must.
+    fn lock(&self) -> MutexGuard<'_, Handoff> {
+        self.handoff.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Ends the run: every waiting thread gives up.
+    fn abort(&self) {
+        self.lock().aborted = true;
+        self.pacer.notify_one();
+        self.threads.iter().for_each(Condvar::notify_one);
+    }
+
+    /// Kernel side: grants process `pid` its next statement and returns
+    /// the thread's report, or `None` if the run aborted.
+    fn grant(&self, pid: usize) -> Option<(StepOutcome, Option<Val>)> {
+        let mut h = self.lock();
+        h.slots[pid].granted = true;
+        self.threads[pid].notify_one();
         loop {
-            if st.grant == Some(pid) {
-                st.grant = None;
-                st.status[pid as usize] = PState::Running;
-                st.last = Some(pid);
-                let index = st.statements;
-                st.statements += 1;
-                GRANT_SPAN.with(|s| {
-                    let first = s.get().map_or(index, |(first, _)| first);
-                    s.set(Some((first, index)));
-                });
-                return;
+            if let Some(report) = h.slots[pid].report.take() {
+                return Some(report);
             }
-            let idle = st.grant.is_none()
-                && st.started == self.n
-                && !st.status.contains(&PState::Running);
-            if idle {
-                // The caller itself is parked, so the candidate set is
-                // never empty here.
-                let next = st.schedule().expect("a parked process exists");
-                st.grant = Some(next);
-                self.cv.notify_all();
-                continue;
+            if h.aborted || h.slots[pid].done {
+                drop(h);
+                self.abort();
+                return None;
             }
-            st = self.cv.wait(st).unwrap();
+            h = self.pacer.wait(h).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Marks `pid` finished and lets the scheduler move on.
-    fn finish(&self, pid: u32) {
-        let mut st = self.m.lock().unwrap();
-        if st.status[pid as usize] == PState::NotStarted {
-            st.started += 1; // a process may finish without ever stepping
+    /// Thread side of a step: reports the statement `pid` was running, if
+    /// any, as `Continue`, and waits for the next grant.
+    fn park(&self, pid: usize) {
+        let mut h = self.lock();
+        let slot = &mut h.slots[pid];
+        assert!(!slot.done, "lockstep process {pid} stepped after its last statement");
+        if std::mem::take(&mut slot.running) {
+            slot.report = Some((StepOutcome::Continue, None));
+            self.pacer.notify_one();
         }
-        st.status[pid as usize] = PState::Done;
-        self.cv.notify_all();
+        while !h.slots[pid].granted {
+            if h.aborted {
+                panic::resume_unwind(Box::new(Aborted));
+            }
+            h = self.threads[pid].wait(h).unwrap_or_else(PoisonError::into_inner);
+        }
+        (h.slots[pid].granted, h.slots[pid].running) = (false, true);
+    }
+
+    /// Thread side of an invocation end (`output` is `Some`) or of
+    /// `finish`: reports the statement `pid` was running as `outcome`.
+    fn report(&self, pid: usize, outcome: StepOutcome, output: Option<Val>) {
+        let mut h = self.lock();
+        let slot = &mut h.slots[pid];
+        let running = std::mem::take(&mut slot.running);
+        assert!(running || output.is_none(), "lockstep process {pid}: statement-free invocation");
+        slot.done = outcome == StepOutcome::Finished;
+        if running {
+            slot.report = Some((outcome, output));
+        }
+        self.pacer.notify_one();
+    }
+}
+
+/// A lockstep thread's process, dropped when the thread exits: a process
+/// not finished by then (a panic) ends the run, so no thread waits forever.
+struct Registration(NativeBackend, usize);
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let ls = self.0.inner.lockstep.as_ref();
+        if let Some(ls) = ls.filter(|ls| ls.lock().slots.get(self.1).is_some_and(|s| !s.done)) {
+            ls.abort();
+        }
+    }
+}
+
+/// The pacing kernel's stand-in for thread `pid`: each of its statements
+/// is one granted to the thread, with the outcome the thread reports.
+#[derive(Clone)]
+struct StandIn {
+    backend: NativeBackend,
+    pid: usize,
+    output: Option<Val>,
+}
+
+impl StepMachine<()> for StandIn {
+    fn step(&mut self, _mem: &mut (), _ctx: &mut StepCtx<'_>) -> StepOutcome {
+        let ls = self.backend.inner.lockstep.as_ref().expect("a stand-in paces a lockstep backend");
+        // An aborted run finishes the stand-in, and the pacing loop stops.
+        let (outcome, output) = ls.grant(self.pid).unwrap_or((StepOutcome::Finished, None));
+        self.output = output;
+        outcome
+    }
+
+    fn output(&self) -> Option<u64> {
+        self.output
+    }
+
+    fn box_clone(&self) -> Box<dyn StepMachine<()>> {
+        Box::new(self.clone())
+    }
+
+    fn state_key(&self, h: &mut dyn Hasher) {
+        h.write_usize(self.pid);
     }
 }
 
@@ -209,8 +224,8 @@ struct NbInner {
 /// pacing modes).
 ///
 /// Cheap to clone (an [`Arc`] handle). Every counted access goes through
-/// it — its [`MemBackend`] accessors report the access and park at the
-/// scheduler, then touch the cell — so the cells hold no handle.
+/// it — its [`MemBackend`] accessors report the access and wait for a
+/// grant, then touch the cell — so the cells hold no handle.
 ///
 /// # Examples
 ///
@@ -243,89 +258,96 @@ impl NativeBackend {
         }
     }
 
-    /// A lockstep backend scheduling `n` processes with the given static
-    /// priorities (larger = higher, matching `sched_sim::Priority`),
-    /// quantum `quantum` (statements), and tie-breaking seed `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum == 0` or `prio.len() != n`.
-    pub fn lockstep(n: usize, prio: &[u32], quantum: u32, seed: u64) -> Self {
+    /// A lockstep backend pacing one process per entry of `prio`, its
+    /// static priority (larger = higher, matching `sched_sim::Priority`),
+    /// with quantum `quantum` (statements) and decider seed `seed`. Panics
+    /// if `quantum == 0`.
+    pub fn lockstep(prio: &[u32], quantum: u32, seed: u64) -> Self {
         assert!(quantum > 0, "quantum must be at least 1 statement");
-        assert_eq!(prio.len(), n, "one priority per process");
+        let slots = prio.iter().map(|_| Slot::default()).collect();
         NativeBackend {
             inner: Arc::new(NbInner {
                 accesses: StripedCounter::new(),
                 lockstep: Some(Lockstep {
-                    m: Mutex::new(LsState {
-                        status: vec![PState::NotStarted; n],
-                        prio: prio.to_vec(),
-                        grant: None,
-                        last: None,
-                        ticks_left: 0,
-                        quantum,
-                        rng: SplitMix64::new(seed),
-                        started: 0,
-                        statements: 0,
-                        preemptions: 0,
-                    }),
-                    cv: Condvar::new(),
-                    n,
+                    prio: prio.to_vec(),
+                    quantum,
+                    seed,
+                    handoff: Mutex::new(Handoff { slots, aborted: false }),
+                    pacer: Condvar::new(),
+                    threads: prio.iter().map(|_| Condvar::new()).collect(),
                 }),
             }),
         }
     }
 
-    /// Lockstep with all `n` processes at equal priority — the pure
-    /// quantum-scheduling regime Lemma 1 and Theorem 1 address.
-    pub fn lockstep_equal(n: usize, quantum: u32, seed: u64) -> Self {
-        Self::lockstep(n, &vec![1; n], quantum, seed)
-    }
-
     /// Binds the calling thread to process `pid` (required before any
-    /// cell access on a lockstep backend; harmless in free mode). Clears
-    /// any grant span an earlier run left on this thread.
+    /// cell access on a lockstep backend, whose run ends if the thread
+    /// exits before `pid` finishes; harmless in free mode).
     pub fn register(&self, pid: u32) {
-        CURRENT_PID.with(|p| p.set(Some(pid)));
-        GRANT_SPAN.with(|s| s.set(None));
+        if self.inner.lockstep.is_some() {
+            REGISTRATION.set(Some(Registration(self.clone(), pid as usize)));
+        }
     }
 
-    /// Whether this backend paces statements through the lockstep
-    /// scheduler.
-    pub(crate) fn is_lockstep(&self) -> bool {
-        self.inner.lockstep.is_some()
+    /// Lockstep: reports the statement process `pid` was running as its
+    /// invocation's end, with `output` (as `Finished` if `last`).
+    pub(crate) fn end_invocation(&self, pid: u32, output: Val, last: bool) {
+        if let Some(ls) = &self.inner.lockstep {
+            let outcome = if last { StepOutcome::Finished } else { StepOutcome::InvocationEnd };
+            ls.report(pid as usize, outcome, Some(output));
+        }
     }
 
-    /// Lockstep only: the global indices of the first and last statements
-    /// granted to the calling thread since the previous call (or since
-    /// [`register`](Self::register)), then resets the span. `None` if no
-    /// statement was granted in between. Grant indices are a pure function
-    /// of the seed and configuration, so stamps taken from them are too.
-    pub(crate) fn take_grant_span(&self) -> Option<(u64, u64)> {
-        GRANT_SPAN.with(|s| s.take())
-    }
-
-    /// Marks process `pid` finished (lockstep: releases its scheduler
-    /// slot; must be called by each registered thread when its workload
-    /// returns).
+    /// Marks process `pid` finished (lockstep: reports the statement it was
+    /// running, if any, as `Finished`) when its workload returns.
     pub fn finish(&self, pid: u32) {
         if let Some(ls) = &self.inner.lockstep {
-            ls.finish(pid);
+            ls.report(pid as usize, StepOutcome::Finished, None);
         }
+    }
+
+    /// Runs the pacing kernel on this thread until every process has
+    /// finished and returns it, its [`ops`](Kernel::ops) the run's records
+    /// (`None` in free mode). Call it after spawning one registered thread
+    /// per process, then [`join`](Self::join) them.
+    pub fn pace(&self) -> Option<Kernel<()>> {
+        let ls = self.inner.lockstep.as_ref()?;
+        let mut kernel = Kernel::new((), SystemSpec::hybrid(ls.quantum));
+        for (pid, &prio) in ls.prio.iter().enumerate() {
+            let stand_in = StandIn { backend: self.clone(), pid, output: None };
+            kernel.add_process(ProcessorId(0), Priority(prio), Box::new(stand_in));
+        }
+        let mut decider = SeededRandom::new(ls.seed);
+        while kernel.step(&mut decider).is_some() && !ls.lock().aborted {}
+        Some(kernel)
+    }
+
+    /// Joins a run's threads and returns their results in order, then
+    /// readies a lockstep backend for its next run. Resumes the panic that
+    /// ended the run, or panics if a lockstep process ended without
+    /// reporting `Finished`.
+    pub fn join<T>(&self, handles: Vec<JoinHandle<T>>) -> Vec<T> {
+        let mut results = Vec::with_capacity(handles.len());
+        for h in handles {
+            match h.join() {
+                Ok(out) => results.push(out),
+                // Released by the abort of a run another thread ended.
+                Err(p) if p.is::<Aborted>() => {}
+                Err(p) => panic::resume_unwind(p),
+            }
+        }
+        if let Some(ls) = &self.inner.lockstep {
+            let mut h = ls.lock();
+            assert!(!h.aborted, "a lockstep process ended without reporting Finished");
+            h.slots.iter_mut().for_each(|s| *s = Slot::default());
+        }
+        results
     }
 
     /// Total counted statements (stepped cell accesses + direct
     /// [`step`](MemBackend::step)s) so far.
     pub fn accesses(&self) -> u64 {
         self.inner.accesses.sum()
-    }
-
-    /// Lockstep only: `(granted statements, equal-priority preemptions)`.
-    pub fn lockstep_stats(&self) -> Option<(u64, u64)> {
-        self.inner.lockstep.as_ref().map(|ls| {
-            let st = ls.m.lock().unwrap();
-            (st.statements, st.preemptions)
-        })
     }
 }
 
@@ -436,18 +458,17 @@ impl MemBackend for NativeBackend {
 
     /// The step hook: one call = one counted atomic statement of the
     /// calling process. Counts the statement and, on a lockstep backend,
-    /// parks the thread until the scheduler grants it. Every accessor
-    /// calls it before its cell operation; the harness calls it directly
-    /// once before each statement of a statement-level program (Fig. 3's
-    /// `decide`), whose register accesses are the cells' own un-stepped
-    /// operations.
+    /// reports the statement the process was running as `Continue` and
+    /// parks the thread until the pacing kernel grants it the next one.
+    /// Every accessor calls it before its cell operation; the harness
+    /// calls it directly once before each statement of a statement-level
+    /// program (Fig. 3's `decide`), whose register accesses are the cells'
+    /// own un-stepped operations.
     fn step(&self) {
         self.inner.accesses.add(my_lane(), 1);
         if let Some(ls) = &self.inner.lockstep {
-            let pid = CURRENT_PID
-                .with(|p| p.get())
-                .expect("lockstep threads must call NativeBackend::register first");
-            ls.step(pid);
+            let pid = REGISTRATION.with_borrow(|r| r.as_ref().map(|r| r.1));
+            ls.park(pid.expect("lockstep threads must call NativeBackend::register first"));
         }
     }
 }
@@ -566,49 +587,75 @@ pub(crate) mod tests {
         separation_clause(NativeBackend::free, NativeBackend::accesses);
     }
 
-    /// Runs `n` threads on lockstep backend `b`, each performing `per`
-    /// counted statements; every statement appends the process id to a
-    /// shared trace through plain (uncounted) atomics, so the returned
-    /// slot trace is exactly the statement interleaving the scheduler
-    /// granted. Two processes running in one statement slot would claim
-    /// the same slot and leave a 0 hole at the end of the trace.
-    fn lockstep_trace(b: NativeBackend, n: usize, per: usize) -> Vec<u64> {
-        let slots: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n * per).map(|_| AtomicU64::new(0)).collect());
-        let cursor = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = (0..n as u32)
+    /// Runs `work(b, pid)` on one registered thread per process of
+    /// lockstep backend `b`, paced by its kernel, and returns the kernel.
+    fn run(
+        b: &NativeBackend,
+        n: u32,
+        work: impl Fn(&NativeBackend, u32) + Send + Sync + 'static,
+    ) -> Kernel<()> {
+        let work = Arc::new(work);
+        let handles: Vec<_> = (0..n)
             .map(|pid| {
-                let b = b.clone();
-                let slots = Arc::clone(&slots);
-                let cursor = Arc::clone(&cursor);
+                let (b, work) = (b.clone(), Arc::clone(&work));
                 thread::spawn(move || {
                     b.register(pid);
-                    for _ in 0..per {
-                        // One counted statement; the claim-then-write runs
-                        // while this process holds the statement grant, so
-                        // it cannot race.
-                        b.step();
-                        let k = cursor.load(Ordering::SeqCst);
-                        let _ =
-                            cursor.compare_exchange(k, k + 1, Ordering::SeqCst, Ordering::SeqCst);
-                        slots[k as usize].store(u64::from(pid) + 1, Ordering::SeqCst);
-                    }
+                    work(&b, pid);
                     b.finish(pid);
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let kernel = b.pace().expect("a lockstep backend");
+        b.join(handles);
+        kernel
+    }
+
+    /// Runs `n` processes on lockstep backend `b`, each performing
+    /// `invocations` invocations of `len` counted statements; every
+    /// statement appends the process id to a shared trace through plain
+    /// (uncounted) atomics, so the returned slot trace is exactly the
+    /// statement interleaving the kernel granted. Two processes running in
+    /// one statement slot would claim the same slot and leave a 0 hole at
+    /// the end of the trace.
+    fn lockstep_trace(b: NativeBackend, n: u32, invocations: usize, len: usize) -> Vec<u64> {
+        let total = n as usize * invocations * len;
+        let slots: Arc<Vec<AtomicU64>> = Arc::new((0..total).map(|_| AtomicU64::new(0)).collect());
+        let (trace, cursor) = (Arc::clone(&slots), AtomicU64::new(0));
+        run(&b, n, move |b, pid| {
+            for inv in 0..invocations {
+                for _ in 0..len {
+                    // One counted statement; the claim-then-write runs
+                    // while this process holds the statement grant, so it
+                    // cannot race.
+                    b.step();
+                    let k = cursor.load(Ordering::SeqCst);
+                    let _ = cursor.compare_exchange(k, k + 1, Ordering::SeqCst, Ordering::SeqCst);
+                    trace[k as usize].store(u64::from(pid) + 1, Ordering::SeqCst);
+                }
+                b.end_invocation(pid, 0, inv + 1 == invocations);
+            }
+        });
         slots.iter().map(|s| s.load(Ordering::SeqCst)).collect()
+    }
+
+    /// The maximal runs of one process in `trace`, as (process, length).
+    fn runs(trace: &[u64]) -> Vec<(u64, usize)> {
+        let mut runs: Vec<(u64, usize)> = Vec::new();
+        for &v in trace {
+            match runs.last_mut() {
+                Some((w, len)) if *w == v => *len += 1,
+                _ => runs.push((v, 1)),
+            }
+        }
+        runs
     }
 
     #[test]
     fn lockstep_schedule_is_deterministic_across_runs() {
-        let a = lockstep_trace(NativeBackend::lockstep_equal(3, 4, 42), 3, 6);
-        let b = lockstep_trace(NativeBackend::lockstep_equal(3, 4, 42), 3, 6);
+        let a = lockstep_trace(NativeBackend::lockstep(&[1; 3], 4, 42), 3, 1, 6);
+        let b = lockstep_trace(NativeBackend::lockstep(&[1; 3], 4, 42), 3, 1, 6);
         assert_eq!(a, b, "same seed must give bit-identical interleaving");
-        let c = lockstep_trace(NativeBackend::lockstep_equal(3, 4, 43), 3, 6);
+        let c = lockstep_trace(NativeBackend::lockstep(&[1; 3], 4, 43), 3, 1, 6);
         // Different seeds *may* coincide for tiny traces, but across 18
         // slots the rotation order virtually always differs; assert only
         // that all three are complete (every slot written).
@@ -618,20 +665,14 @@ pub(crate) mod tests {
 
     #[test]
     fn lockstep_respects_quantum_windows() {
-        // Q = 4, 2 processes, 8 single-statement iterations each: every
+        // Q = 4, 2 processes, one invocation of 8 statements each: every
         // process's work is a whole number of quantum windows, so the
         // writer trace must consist of runs whose lengths are multiples
         // of 4 (consecutive windows may land on the same process, merging
         // runs, but a window can never be cut short — Axiom 2).
-        let trace = lockstep_trace(NativeBackend::lockstep_equal(2, 4, 7), 2, 8);
+        let trace = lockstep_trace(NativeBackend::lockstep(&[1; 2], 4, 7), 2, 1, 8);
         assert!(trace.iter().all(|&v| v != 0), "incomplete trace {trace:?}");
-        let mut runs: Vec<(u64, usize)> = Vec::new();
-        for &v in &trace {
-            match runs.last_mut() {
-                Some((w, len)) if *w == v => *len += 1,
-                _ => runs.push((v, 1)),
-            }
-        }
+        let runs = runs(&trace);
         for &(_, len) in &runs {
             assert_eq!(len % 4, 0, "mid-window preemption in {runs:?}");
         }
@@ -639,11 +680,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn lockstep_window_closes_at_invocation_end() {
+        // Q = 4, 2 processes, 4 invocations of 3 statements each. The
+        // kernel's reading of Axiom 2: a window closes when its holder's
+        // invocation ends, and the next invocation opens a fresh one. So
+        // no window spans an invocation end, and every maximal run is a
+        // whole number of invocations.
+        for seed in 0..16 {
+            let trace = lockstep_trace(NativeBackend::lockstep(&[1; 2], 4, seed), 2, 4, 3);
+            assert!(trace.iter().all(|&v| v != 0), "seed {seed}: incomplete trace {trace:?}");
+            let runs = runs(&trace);
+            for &(_, len) in &runs {
+                assert_eq!(len % 3, 0, "seed {seed}: a window spans an invocation end: {runs:?}");
+            }
+        }
+    }
+
+    #[test]
     fn lockstep_priorities_run_to_completion_first() {
         // Priorities 2,1: the high-priority process must own a full prefix
         // of the statement trace (Axiom 1), regardless of seed.
         for seed in 0..4 {
-            let trace = lockstep_trace(NativeBackend::lockstep(2, &[2, 1], 4, seed), 2, 4);
+            let trace = lockstep_trace(NativeBackend::lockstep(&[2, 1], 4, seed), 2, 1, 4);
             assert!(trace.iter().all(|&v| v != 0), "incomplete trace {trace:?}");
             assert_eq!(trace, vec![1, 1, 1, 1, 2, 2, 2, 2], "Axiom 1 violated: {trace:?}");
         }
@@ -651,24 +709,38 @@ pub(crate) mod tests {
 
     #[test]
     fn lockstep_statements_accounted() {
-        let b = NativeBackend::lockstep_equal(2, 8, 1);
-        let handles: Vec<_> = (0..2u32)
-            .map(|pid| {
-                let b = b.clone();
-                thread::spawn(move || {
-                    b.register(pid);
-                    for _ in 0..5 {
-                        b.step();
-                    }
-                    b.finish(pid);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let (stmts, _) = b.lockstep_stats().unwrap();
-        assert_eq!(stmts, 10);
+        // Direct steps only: each process's last statement is reported as
+        // `Finished` by `finish`, so each completes one invocation.
+        let b = NativeBackend::lockstep(&[1; 2], 8, 1);
+        let counters = run(&b, 2, |b, _| (0..5).for_each(|_| b.step())).counters();
+        assert_eq!((counters.statements, counters.invocations_completed), (10, 2));
         assert_eq!(b.accesses(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "ended without reporting Finished")]
+    fn lockstep_process_without_a_statement_ends_the_run() {
+        // Process 1 returns without a statement, so no statement of its
+        // reports `Finished`: the kernel cannot run it, and instead of
+        // waiting for it the run ends and `join` says why.
+        run(&NativeBackend::lockstep(&[1; 2], 4, 0), 2, |b, pid| {
+            if pid == 0 {
+                (0..3).for_each(|_| b.step());
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 1 failed")]
+    fn panicking_lockstep_worker_panics_the_run() {
+        // Worker 1 panics mid-run while worker 0 is parked for a grant:
+        // the run ends, worker 0 is released, and the panic reaches the
+        // caller instead of leaving the run waiting for a report.
+        run(&NativeBackend::lockstep(&[1; 2], 1, 0), 2, |b, pid| {
+            for i in 0..10 {
+                b.step();
+                assert!(pid != 1 || i < 3, "worker 1 failed");
+            }
+        });
     }
 }

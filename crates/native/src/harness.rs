@@ -11,22 +11,19 @@
 //! exactly the partial order [`hybrid_wf::oracle::check_linearizable`]
 //! requires — `oracle::timed_ops` consumes these records unchanged.
 //!
-//! In lockstep mode the records are stamped from the lockstep scheduler
-//! instead: an operation starts at its first granted statement and ends
-//! at its last, in the scheduler's global statement order. Grants are a
-//! pure function of the seed, so lockstep records are too — the global
-//! clock would instead leak thread start-up timing into `start`. The
-//! real-time order the oracle needs still holds: an operation that
-//! completed before another began holds a strictly earlier grant.
+//! Lockstep records are the pacing kernel's op log instead
+//! ([`sched_sim::kernel::Kernel::ops`]): stamps on its statement clock, a
+//! pure function of the seed, where the ticket clock would leak thread
+//! start-up timing into `start`.
 //!
 //! Every workload runs **one OS thread per process**. In free mode that
 //! makes the process count the thread count (the contention knob); in
 //! lockstep mode the threads take turns one statement at a time under the
-//! deterministic scheduler, so "thread count" means "process count on one
-//! emulated hybrid processor".
+//! pacing kernel, so "thread count" means "process count on one emulated
+//! hybrid processor".
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -51,9 +48,9 @@ use crate::backend::{NativeBackend, NativeReg};
 pub enum Pacing {
     /// Real races: no statement scheduler.
     Free,
-    /// Deterministic token-passing hybrid scheduler.
+    /// One statement at a time, under the simulator's hybrid scheduler.
     Lockstep {
-        /// Tie-breaking seed.
+        /// The pacing kernel's decider seed.
         seed: u64,
         /// Quantum in counted statements (the paper's `Q`).
         quantum: u32,
@@ -64,9 +61,7 @@ impl Pacing {
     fn backend(self, n: usize) -> NativeBackend {
         match self {
             Pacing::Free => NativeBackend::free(),
-            Pacing::Lockstep { seed, quantum } => {
-                NativeBackend::lockstep_equal(n, quantum, seed)
-            }
+            Pacing::Lockstep { seed, quantum: q } => NativeBackend::lockstep(&vec![1; n], q, seed),
         }
     }
 }
@@ -96,10 +91,11 @@ impl<O> FamilyRun<O> {
 }
 
 /// Spawns one thread per plan, runs `work` on each, and collects the
-/// per-operation records, stamped through the shared ticket clock (free)
-/// or from the lockstep grants (lockstep). Each worker sizes its record
-/// buffer to its plan before its first operation, and the merged buffer
-/// is sized to the total, so no buffer grows while operations run.
+/// per-operation records: free ones ticket-stamped, lockstep ones from the
+/// pacing kernel this thread runs meanwhile ([`NativeBackend::pace`]).
+/// Each worker sizes its record buffer to its plan before its first
+/// operation, and the merged buffer is sized to the total, so no buffer
+/// grows while operations run.
 fn run_threads<O, F>(backend: &NativeBackend, plans: Vec<Vec<O>>, work: F) -> FamilyRun<O>
 where
     O: Clone + Send + Sync + 'static,
@@ -107,7 +103,6 @@ where
 {
     let n = plans.len();
     let total = plans.iter().map(Vec::len).sum();
-    let lockstep = backend.is_lockstep();
     let clock = Arc::new(AtomicU64::new(0));
     let work = Arc::new(work);
     let shared_plans = Arc::new(plans);
@@ -122,18 +117,12 @@ where
                 backend.register(pid);
                 let mut records = Vec::with_capacity(plans[pid as usize].len());
                 let mut retries = 0;
-                for (inv, op) in plans[pid as usize].iter().enumerate() {
-                    let (t0, t1, (out, r)) = if lockstep {
-                        let done = work(&backend, pid, op);
-                        let (t0, t1) = backend
-                            .take_grant_span()
-                            .expect("every workload operation accesses a cell");
-                        (t0, t1, done)
-                    } else {
-                        let t0 = clock.fetch_add(1, Ordering::SeqCst);
-                        let done = work(&backend, pid, op);
-                        (t0, clock.fetch_add(1, Ordering::SeqCst), done)
-                    };
+                let plan = &plans[pid as usize];
+                for (inv, op) in plan.iter().enumerate() {
+                    let t0 = clock.fetch_add(1, Ordering::SeqCst);
+                    let (out, r) = work(&backend, pid, op);
+                    let t1 = clock.fetch_add(1, Ordering::SeqCst);
+                    backend.end_invocation(pid, out, inv + 1 == plan.len());
                     retries += r;
                     records.push(OpRecord {
                         start: t0,
@@ -148,15 +137,16 @@ where
             })
         })
         .collect();
+    let kernel = backend.pace();
     let mut records = Vec::with_capacity(total);
     let mut retries = 0;
-    for h in handles {
-        let (r, rt) = h.join().expect("native worker thread panicked");
+    for (r, rt) in backend.join(handles) {
         records.extend(r);
         retries += rt;
     }
     let wall = start.elapsed();
     records.sort_by_key(|r| (r.start, r.pid.0));
+    let records = kernel.map_or(records, |kernel| kernel.ops().to_vec());
     let plans = Arc::try_unwrap(shared_plans).unwrap_or_else(|a| (*a).clone());
     FamilyRun { records, plans, accesses: backend.accesses(), retries, wall }
 }
@@ -239,9 +229,7 @@ where
     let per = plans.iter().map(Vec::len).max().unwrap_or(0) as u32;
     let backend = pacing.backend(n);
     let obj = Arc::new(Universal::<NativeBackend, S>::new(&backend, spec, n as u32, per));
-    let sessions: Vec<_> = (0..n as u32)
-        .map(|p| std::sync::Mutex::new(obj.session(p)))
-        .collect();
+    let sessions: Vec<_> = (0..n as u32).map(|p| Mutex::new(obj.session(p))).collect();
     let sessions = Arc::new(sessions);
     run_threads(&backend, plans, move |_b, pid, op| {
         // Each session is only ever touched by its own thread; the mutex
@@ -279,7 +267,7 @@ pub fn queue_plans(n: usize, per: usize) -> Vec<Vec<QueueOp>> {
 /// against a value it previously observed. Retries count failed C&S.
 pub fn run_cas(n: usize, per: usize, seed: u64, pacing: Pacing) -> FamilyRun<CasRegOp> {
     let backend = pacing.backend(n);
-    let obj = Arc::new(CasObject::<NativeBackend>::new(&backend, 0));
+    let obj = CasObject::<NativeBackend>::new(&backend, 0);
     // Plans carry only the op *kind*; C&S operands are chosen live from
     // observed values (old = last read), which keeps success rates high
     // enough to be interesting. The record stores the resolved op.
@@ -299,14 +287,10 @@ pub fn run_cas(n: usize, per: usize, seed: u64, pacing: Pacing) -> FamilyRun<Cas
                 .collect()
         })
         .collect();
-    let last_read: Vec<std::sync::Mutex<Val>> =
-        (0..n).map(|_| std::sync::Mutex::new(0)).collect();
-    let resolved: Vec<std::sync::Mutex<Vec<CasRegOp>>> =
-        (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    let last_read = Arc::new(last_read);
-    let resolved = Arc::new(resolved);
-    let obj2 = Arc::clone(&obj);
-    let (lr, rs) = (Arc::clone(&last_read), Arc::clone(&resolved));
+    let lr: Vec<Mutex<Val>> = (0..n).map(|_| Mutex::new(0)).collect();
+    let resolved: Arc<Vec<Mutex<Vec<CasRegOp>>>> =
+        Arc::new((0..n).map(|_| Mutex::new(Vec::new())).collect());
+    let rs = Arc::clone(&resolved);
     let mut run = run_threads(&backend, plans, move |_b, pid, op| {
         let op = match *op {
             CasRegOp::Read => CasRegOp::Read,
@@ -314,7 +298,7 @@ pub fn run_cas(n: usize, per: usize, seed: u64, pacing: Pacing) -> FamilyRun<Cas
                 CasRegOp::Cas { old: *lr[pid as usize].lock().unwrap(), new }
             }
         };
-        let out = obj2.apply(&op);
+        let out = obj.apply(&op);
         if let CasRegOp::Read = op {
             *lr[pid as usize].lock().unwrap() = out;
         }

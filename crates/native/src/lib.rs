@@ -16,17 +16,11 @@
 //!   measures throughput, and it is where the paper's quantum axiom does
 //!   *not* hold: no mainstream kernel promises `Q` statements between
 //!   equal-priority preemptions (the motivating RTOSes — QNX, IRIX REACT,
-//!   VxWorks — do). Fig. 3 agreement is therefore a *measurement* here,
-//!   not a theorem; CAS-backed algorithms (the universal construction,
-//!   the C&S object) stay correct because hardware C&S has consensus
-//!   number ∞.
-//! * **lockstep** — a deterministic token-passing scheduler
-//!   ([`backend::NativeBackend::lockstep`]) grants one counted statement
-//!   at a time, enforcing Axiom 1 (strict priorities) and Axiom 2
-//!   (quantum windows of `Q` statements) with seeded tie-breaking. The
-//!   same code, scheduled per the paper's model on real threads:
-//!   `Q ≥ 8` reproduces Theorem 1's agreement, `Q = 1` reproduces the
-//!   disagreements the simulator's explorer finds.
+//!   VxWorks — do). Fig. 3 agreement is a *measurement* here; CAS-backed
+//!   algorithms stay correct because hardware C&S has consensus number ∞.
+//! * **lockstep** — the simulator's own kernel paces the threads, one
+//!   counted statement at a time: `Q ≥ 8` reproduces Theorem 1's
+//!   agreement, `Q = 1` the disagreements the explorer finds.
 //!
 //! The [`harness`] records every operation in the simulator's
 //! [`sched_sim::kernel::OpRecord`] format, so native runs are checked by
@@ -41,11 +35,10 @@
 //!   on.
 //! * [`backend`] — [`backend::NativeBackend`]: the `MemBackend`
 //!   implementation with its padded atomic cells (register, C&S,
-//!   first-wins consensus), free and lockstep pacing, and the
-//!   deterministic statement scheduler.
+//!   first-wins consensus), free and lockstep pacing.
 //! * [`harness`] — thread-per-process workload runners emitting
-//!   `OpRecord`s stamped by a global ticket clock (free) or the lockstep
-//!   grants (lockstep), plus oracle bridges.
+//!   `OpRecord`s stamped by a global ticket clock (free) or taken from the
+//!   pacing kernel (lockstep), plus oracle bridges.
 //!
 //! Which backend to use when — and which paper guarantees survive on
 //! which backend — is tabulated in `BACKENDS.md`; the worked native

@@ -9,8 +9,10 @@
 //! operation in the simulator's `OpRecord` format, so one oracle
 //! (`hybrid_wf::oracle`) judges both worlds:
 //!
-//! * lockstep pacing at `Q ≥ 8` must reproduce Theorem 1's agreement on
-//!   real threads, and the pinned sub-threshold seeds
+//! * lockstep pacing runs the threads under the simulator's own kernel, so
+//!   a lockstep Fig. 3 run must record exactly what the simulator records
+//!   for the same seed; at `Q ≥ 8` it must reproduce Theorem 1's agreement
+//!   on real threads, and the pinned sub-threshold seeds
 //!   ([`lowerbound::native::Q1_SPLIT_SEEDS`]) must keep splitting the
 //!   decision — deterministically;
 //! * free pacing must keep every CAS-backed algorithm linearizable at any
@@ -26,7 +28,7 @@ use hybrid_wf::generic::Universal;
 use hybrid_wf::oracle::{check_linearizable, timed_ops};
 use hybrid_wf::uni::consensus::MIN_QUANTUM;
 use hybrid_wf::universal::CounterSpec;
-use lowerbound::native::Q1_SPLIT_SEEDS;
+use lowerbound::native::{fig3_sim_ops, Q1_SPLIT_SEEDS};
 use native::harness::{
     cas_run_ok, check_run_linearizable, counter_plans, counter_run_ok, fig3_agreement,
     queue_run_ok, run_fig3, run_universal, Pacing,
@@ -50,6 +52,28 @@ fn fig3_lockstep_agrees_at_legal_quantum() {
             let run = run_fig3(&inputs, Pacing::Lockstep { seed, quantum: MIN_QUANTUM });
             fig3_agreement(&run)
                 .unwrap_or_else(|outs| panic!("n={n} seed={seed}: split decision {outs:?}"));
+        }
+    }
+}
+
+/// One scheduler for both worlds: native lockstep threads are paced by the
+/// simulator's own kernel, so a lockstep Fig. 3 run's records equal the
+/// op log of the simulator kernel running the same statement list under
+/// the same spec and decider seed — start and end statement, pid and
+/// decided value — at every quantum, legal or not.
+#[test]
+fn fig3_lockstep_records_equal_the_simulator() {
+    for n in [2usize, 3, 4, 5] {
+        let inputs = fig3_inputs(n);
+        for quantum in [1u32, 2, 3, MIN_QUANTUM] {
+            for seed in 0..16u64 {
+                let run = run_fig3(&inputs, Pacing::Lockstep { seed, quantum });
+                assert_eq!(
+                    run.records,
+                    fig3_sim_ops(&inputs, quantum, seed),
+                    "n={n} Q={quantum} seed={seed}: native lockstep diverged from the simulator"
+                );
+            }
         }
     }
 }
