@@ -18,9 +18,9 @@
 //! the paper's polynomial-vs-exponential comparison. See DESIGN.md for the
 //! substitution note.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use sched_sim::program::{Flow, ProgMachine, Program, ProgramBuilder};
+use sched_sim::program::{Flow, ProcRef, ProgMachine, Program, ProgramBuilder};
 use wfmem::{LocalConsensus, Val};
 
 /// Shared memory: one consensus object and one published value per
@@ -78,7 +78,7 @@ pub struct ExpLocals {
 /// `me` in increasing numeric order (the full set comes last), deciding
 /// each subset's object and adopting its value; the full-set object's
 /// decision is returned.
-pub fn build_program() -> (Arc<Program<ExpLocals, ExpMem>>, sched_sim::program::ProcRef) {
+pub fn build_program() -> (Arc<Program<ExpLocals, ExpMem>>, ProcRef) {
     let mut b = ProgramBuilder::<ExpLocals, ExpMem>::new();
     let decide = b.proc("exp-decide");
 
@@ -112,13 +112,12 @@ pub fn build_program() -> (Arc<Program<ExpLocals, ExpMem>>, sched_sim::program::
 
 /// A single-shot machine proposing `val`.
 pub fn decide_machine(me: u32, val: Val) -> ProgMachine<ExpLocals, ExpMem> {
-    let (prog, entry) = build_program();
-    ProgMachine::single_shot(
-        &prog,
-        ExpLocals { me, val, ..ExpLocals::default() },
-        entry,
-    )
-    .with_output(|l| l.ret)
+    // Every proposer runs the same immutable program, built once per
+    // process.
+    static DECIDE: OnceLock<(Arc<Program<ExpLocals, ExpMem>>, ProcRef)> = OnceLock::new();
+    let (prog, entry) = DECIDE.get_or_init(build_program);
+    ProgMachine::single_shot(prog, ExpLocals { me, val, ..ExpLocals::default() }, *entry)
+        .with_output(|l| l.ret)
 }
 
 #[cfg(test)]

@@ -20,9 +20,9 @@
 //! construction; the `rtos_tasks` example demonstrates the inversion
 //! livelock and its absence under the wait-free queue.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use sched_sim::program::{Flow, InvocationPlan, ProgMachine, Program, ProgramBuilder};
+use sched_sim::program::{Flow, InvocationPlan, ProcRef, ProgMachine, Program, ProgramBuilder};
 use wfmem::Val;
 
 /// Shared memory: a test-and-set lock guarding a counter.
@@ -52,7 +52,7 @@ pub struct LockLocals {
 /// Builds a fetch-and-increment over a test-and-set spin lock. The
 /// critical section executes `hold` extra statements, widening the window
 /// in which preemption causes inversion.
-pub fn build_program() -> (Arc<Program<LockLocals, LockMem>>, sched_sim::program::ProcRef) {
+pub fn build_program() -> (Arc<Program<LockLocals, LockMem>>, ProcRef) {
     let mut b = ProgramBuilder::<LockLocals, LockMem>::new();
     let inc = b.proc("lock-inc");
 
@@ -95,7 +95,11 @@ pub fn build_program() -> (Arc<Program<LockLocals, LockMem>>, sched_sim::program
 /// A machine performing `ops` lock-based increments, holding the lock for
 /// `hold` extra statements each time.
 pub fn inc_machine(me: u32, ops: u32, hold: u32) -> ProgMachine<LockLocals, LockMem> {
-    let (prog, entry) = build_program();
+    // Every lock machine runs the same immutable program, built once per
+    // process.
+    static INC: OnceLock<(Arc<Program<LockLocals, LockMem>>, ProcRef)> = OnceLock::new();
+    let (prog, entry) = INC.get_or_init(build_program);
+    let entry = *entry;
     let plan: InvocationPlan<LockLocals> = Arc::new(move |l, k| {
         if k < ops {
             l.ret = None;
@@ -105,7 +109,7 @@ pub fn inc_machine(me: u32, ops: u32, hold: u32) -> ProgMachine<LockLocals, Lock
             None
         }
     });
-    ProgMachine::with_plan(&prog, LockLocals { me, ..LockLocals::default() }, plan)
+    ProgMachine::with_plan(prog, LockLocals { me, ..LockLocals::default() }, plan)
         .with_output(|l| l.ret)
 }
 

@@ -34,7 +34,7 @@
 //! Theorem 3 lower bound predicts; the `experiments` crate sweeps this
 //! threshold to regenerate Table 1.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sched_sim::program::{Flow, ProcRef, ProgMachine, Program, ProgramBuilder};
 use wfmem::{CConsensus, LocalConsensus, Val};
@@ -249,6 +249,9 @@ impl MultiLocals {
         }
     }
 }
+
+/// A built `decide` program over memory `M`, and its entry point.
+pub(crate) type DecideProgram<M> = (Arc<Program<MultiLocals, M>>, ProcRef);
 
 /// Builds the Fig. 7 `decide` program in the given [`LocalMode`].
 pub fn build_program(mode: LocalMode) -> (Arc<Program<MultiLocals, MultiMem>>, ProcRef) {
@@ -580,8 +583,11 @@ pub fn decide_machine(
     val: Val,
     mode: LocalMode,
 ) -> ProgMachine<MultiLocals, MultiMem> {
-    let (prog, entry) = build_program(mode);
-    ProgMachine::single_shot(&prog, MultiLocals::new(me, cpu, pri, val), entry)
+    // Every decide machine of a mode runs the same immutable program, so
+    // it is built once per process and mode, not once per machine.
+    static DECIDE: [OnceLock<DecideProgram<MultiMem>>; 2] = [OnceLock::new(), OnceLock::new()];
+    let (prog, entry) = DECIDE[mode as usize].get_or_init(|| build_program(mode));
+    ProgMachine::single_shot(prog, MultiLocals::new(me, cpu, pri, val), *entry)
         .with_output(|l| l.ret)
 }
 

@@ -26,13 +26,13 @@
 //! the paper's Sec. 5 observation that `P`-consensus primitives suffice
 //! with a constant quantum under fair scheduling.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sched_sim::program::{Flow, ProcRef, ProgMachine, Program, ProgramBuilder};
 use wfmem::{LocalConsensus, Val};
 
 use crate::multi::consensus::{
-    append_decide_proc, AsMultiMem, LocalMode, MultiLocals, MultiMem,
+    append_decide_proc, AsMultiMem, DecideProgram, LocalMode, MultiLocals, MultiMem,
 };
 
 /// Shared memory of a Fig. 9 instance: a Fig. 7 instance plus the
@@ -128,8 +128,10 @@ pub fn decide_machine(
     val: Val,
     mode: LocalMode,
 ) -> ProgMachine<MultiLocals, FairMem> {
-    let (prog, entry) = build_program(mode);
-    ProgMachine::single_shot(&prog, MultiLocals::new(me, cpu, pri, val), entry)
+    // Built once per process and mode, as Fig. 7's program is.
+    static DECIDE: [OnceLock<DecideProgram<FairMem>>; 2] = [OnceLock::new(), OnceLock::new()];
+    let (prog, entry) = DECIDE[mode as usize].get_or_init(|| build_program(mode));
+    ProgMachine::single_shot(prog, MultiLocals::new(me, cpu, pri, val), *entry)
         .with_output(|l| l.ret)
 }
 

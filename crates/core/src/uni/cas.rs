@@ -57,7 +57,7 @@
 //! writes*, where `c` is the longest code sequence required to suffer at
 //! most one quantum preemption.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sched_sim::program::{Flow, InvocationPlan, ProcRef, ProgMachine, Program, ProgramBuilder};
 use wfmem::Val;
@@ -994,7 +994,11 @@ pub fn op_machine(
     v: u32,
     ops: Vec<CasOp>,
 ) -> ProgMachine<CasLocals, CasMem> {
-    let (prog, entries) = build_program();
+    // Every Fig. 5 machine runs the same immutable program, so it is built
+    // once per process, not once per machine.
+    static PROGRAM: OnceLock<(Arc<Program<CasLocals, CasMem>>, CasEntries)> = OnceLock::new();
+    let (prog, entries) = PROGRAM.get_or_init(build_program);
+    let entries = *entries;
     let ops2 = ops.clone();
     let plan: InvocationPlan<CasLocals> = Arc::new(move |l, k| {
         let op = ops2.get(k as usize)?;
@@ -1009,7 +1013,7 @@ pub fn op_machine(
             CasOp::Read => Some(entries.read),
         }
     });
-    ProgMachine::with_plan(&prog, CasLocals::new(me, pri, n, v), plan).with_output(|l| {
+    ProgMachine::with_plan(prog, CasLocals::new(me, pri, n, v), plan).with_output(|l| {
         if let Some(r) = l.ret_cas {
             Some(u64::from(r))
         } else {

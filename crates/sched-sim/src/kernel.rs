@@ -881,15 +881,28 @@ impl<M> Kernel<M> {
         }
     }
 
-    /// Completed invocations, in completion order.
+    /// Completed invocations, in completion order: every one since the
+    /// kernel was built, or since the last [`Kernel::drain_ops`].
     pub fn ops(&self) -> &[OpRecord] {
         &self.ops
     }
 
+    /// Takes the completed-invocation records out of the log, in
+    /// completion order. The log keeps its capacity, so a run that drains
+    /// after every bounded stretch of statements holds one stretch of
+    /// history and pushes its records without allocating (the service
+    /// engine's case). Afterwards [`Kernel::ops`] holds only invocations
+    /// completed since. A log still shared with a fork is copied first:
+    /// the fork's records stay intact.
+    pub fn drain_ops(&mut self) -> std::vec::Drain<'_, OpRecord> {
+        Arc::make_mut(&mut self.ops).drain(..)
+    }
+
     /// Pre-reserves capacity for `additional` further completed-invocation
-    /// records, so a long-lived run whose invocation count is known up
-    /// front (the service engine's case) never grows the op log mid-run —
-    /// the record push stays allocation-free on the steady-state step path.
+    /// records, so a run that knows how many invocations it completes
+    /// before it next drains the log ([`Kernel::drain_ops`]) never grows
+    /// the log mid-run: the record push stays allocation-free on the
+    /// steady-state step path.
     pub fn reserve_ops(&mut self, additional: usize) {
         Arc::make_mut(&mut self.ops).reserve(additional);
     }
@@ -1782,6 +1795,45 @@ mod tests {
         assert_eq!(ops[0].pid, p);
         assert_eq!(ops[0].inv_index, 0);
         assert_eq!(ops[2].inv_index, 2);
+    }
+
+    /// Draining yields records in completion order across drains, leaves
+    /// only newer records in `ops()`, keeps the log's capacity, and
+    /// never touches a fork's copy of the log.
+    #[test]
+    fn drain_ops_streams_completions_and_spares_forks() {
+        let mut k = Kernel::new(Vec::new(), SystemSpec::hybrid(8));
+        k.add_process(ProcessorId(0), Priority(1), logger(1, 2, 6));
+        k.add_process(ProcessorId(0), Priority(1), logger(2, 3, 4));
+        let mut whole = k.clone();
+        let mut d = RoundRobin::new();
+        whole.run(&mut d, 1_000);
+        assert_eq!(whole.ops().len(), 10);
+
+        let mut d = RoundRobin::new();
+        let mut streamed = Vec::new();
+        k.run(&mut d, 7);
+        let first = k.ops().len();
+        assert!(first > 0);
+        streamed.extend(k.drain_ops());
+        assert!(k.ops().is_empty());
+        let cap = Arc::get_mut(&mut k.ops).expect("unshared log").capacity();
+        assert!(cap >= first, "the drained log keeps its capacity");
+
+        k.run(&mut d, 5);
+        let newer = k.ops().to_vec();
+        assert!(!newer.is_empty());
+        assert!(newer.iter().all(|r| r.t > streamed.last().unwrap().t), "only newer records");
+
+        // A fork shares the log; draining the original leaves its copy.
+        let fork = k.clone();
+        streamed.extend(k.drain_ops());
+        assert_eq!(fork.ops(), &newer[..]);
+        assert!(k.ops().is_empty());
+
+        k.run(&mut d, 1_000);
+        streamed.extend(k.drain_ops());
+        assert_eq!(streamed, whole.ops(), "drains concatenate to the whole log");
     }
 
     #[test]

@@ -34,19 +34,23 @@
 //! ([`Kernel::ops`]): a request's latency is the statement-time span of
 //! its invocation, folded into allocation-free [`Hist`] histograms per
 //! shard and per priority level. Think invocations report no output and
-//! are excluded. Steady state allocates nothing: the engine pre-reserves
-//! the op log ([`Kernel::reserve_ops`]) and the factory reserves the
-//! object's own arenas, which grow on first use (the universal log on
-//! first proposal) within that reservation, per the PR 3 allocation-free
-//! discipline. [`Service::shard_kernel`] builds by move, so the
-//! reservations reach the kernel intact.
+//! are excluded. The engine folds as it runs: it executes a shard in
+//! fixed chunks of statements and drains each chunk's records
+//! ([`Kernel::drain_ops`]) into the histograms before the next chunk, so
+//! a shard holds one chunk of history, not every request's record. Steady
+//! state allocates nothing: the engine reserves one chunk of op-log room
+//! ([`Kernel::reserve_ops`]), which a drain keeps, and the factory
+//! reserves the object's own arenas, which grow on first use (the
+//! universal log on first proposal) within that reservation.
+//! [`Service::shard_kernel`] builds by move, so the reservations reach the
+//! kernel intact.
 
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use crate::decision::RoundRobin;
 use crate::ids::{ProcessId, ProcessorId, Priority};
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, OpRecord};
 use crate::machine::StepMachine;
 use crate::prof::Hist;
 use crate::report::{wall_ms, Json};
@@ -315,17 +319,6 @@ impl ShardPlan {
         self.arrival.think()
     }
 
-    /// Total invocations this shard's kernel will record: every request,
-    /// plus one think invocation per request under a thinking closed loop.
-    /// The engine pre-reserves the kernel op log to exactly this.
-    pub fn expected_invocations(&self) -> u64 {
-        if self.think() > 0 {
-            2 * self.requests
-        } else {
-            self.requests
-        }
-    }
-
     /// Adds worker `w`'s machine to `s` with the plan's placement: pinned
     /// to the shard's (single) processor, at [`ShardPlan::priority`], held
     /// iff in a later arrival cohort. Factories should add workers 0, 1, …
@@ -393,7 +386,7 @@ impl<M, F: Fn(&ShardPlan) -> Scenario<M> + Sync> Service<M, F> {
     }
 
     /// Builds one shard's kernel exactly as [`Service::run`] would (the
-    /// factory's scenario, op log pre-reserved) — the hook direct-driving
+    /// factory's scenario, churn plan, one chunk of op-log room) — the hook direct-driving
     /// tests (e.g. allocation counting) use to probe the steady state.
     pub fn shard_kernel(&self, shard: u32) -> Kernel<M> {
         let plan = self.spec.plans()[shard as usize];
@@ -410,8 +403,13 @@ impl<M, F: Fn(&ShardPlan) -> Scenario<M> + Sync> Service<M, F> {
     }
 }
 
+/// Statements a shard runs between folds of its op log. A statement
+/// completes at most one invocation, so the log never holds more than this
+/// many records.
+const CHUNK: u64 = 1 << 14;
+
 /// Builds a shard's kernel from the factory and applies the engine's
-/// steady-state preparation (op-log reservation).
+/// steady-state preparation (churn plan, one chunk of op-log room).
 fn prepared_kernel<M>(plan: &ShardPlan, build: &impl Fn(&ShardPlan) -> Scenario<M>) -> Kernel<M> {
     let scenario = build(plan);
     assert_eq!(
@@ -432,16 +430,18 @@ fn prepared_kernel<M>(plan: &ShardPlan, build: &impl Fn(&ShardPlan) -> Scenario<
             }
         }
     }
-    k.reserve_ops(plan.expected_invocations() as usize);
+    k.reserve_ops(CHUNK as usize);
     k
 }
 
-/// Drives one shard to completion (with open-loop release choreography)
-/// and folds its op log into the shard report.
-fn run_shard<M>(plan: &ShardPlan, build: &impl Fn(&ShardPlan) -> Scenario<M>) -> ShardReport {
-    let mut k = prepared_kernel(plan, build);
-    let t0 = Instant::now();
-    let mut d = RoundRobin::new();
+/// Drives one shard to quiescence or its budget, with the open-loop
+/// release choreography; `run(k, n)` executes at most `n` statements and
+/// returns how many it ran. Returns the statements executed.
+fn drive<M>(
+    plan: &ShardPlan,
+    k: &mut Kernel<M>,
+    mut run: impl FnMut(&mut Kernel<M>, u64) -> u64,
+) -> u64 {
     let budget = plan.budget;
     let mut steps = 0u64;
     if let Arrival::OpenLoop { cohorts, period } = plan.arrival {
@@ -449,7 +449,7 @@ fn run_shard<M>(plan: &ShardPlan, build: &impl Fn(&ShardPlan) -> Scenario<M>) ->
             let target = u64::from(cohort) * period;
             while k.clock() < target && steps < budget {
                 let chunk = (target - k.clock()).min(budget - steps);
-                let ran = k.run(&mut d, chunk);
+                let ran = run(k, chunk);
                 steps += ran;
                 if ran < chunk {
                     // The ready set quiesced before the release time:
@@ -465,32 +465,83 @@ fn run_shard<M>(plan: &ShardPlan, build: &impl Fn(&ShardPlan) -> Scenario<M>) ->
             }
         }
     }
-    steps += k.run(&mut d, budget - steps);
-    let wall = t0.elapsed();
-    let counters = k.counters();
+    steps + run(k, budget - steps)
+}
 
-    let mut latency = Hist::new();
-    let mut per_prio: Vec<Hist> = vec![Hist::new(); plan.prio_levels as usize + 1];
-    let mut requests = 0u64;
-    for rec in k.ops() {
+/// Runs `k` for at most `max` statements in stretches of at most
+/// [`CHUNK`], handing each stretch's completed invocations to `fold`
+/// before the next one runs. Returns the statements executed.
+fn run_chunked<M>(
+    k: &mut Kernel<M>,
+    d: &mut RoundRobin,
+    max: u64,
+    fold: &mut impl FnMut(std::vec::Drain<'_, OpRecord>),
+) -> u64 {
+    let mut steps = 0;
+    while steps < max {
+        let chunk = (max - steps).min(CHUNK);
+        let ran = k.run(d, chunk);
+        steps += ran;
+        fold(k.drain_ops());
+        if ran < chunk {
+            break;
+        }
+    }
+    steps
+}
+
+/// A shard's completed requests and their latency histograms, overall and
+/// per priority level.
+struct Tally {
+    requests: u64,
+    latency: Hist,
+    per_prio: Vec<Hist>,
+}
+
+impl Tally {
+    fn new(plan: &ShardPlan) -> Self {
+        Tally {
+            requests: 0,
+            latency: Hist::new(),
+            per_prio: vec![Hist::new(); plan.prio_levels as usize + 1],
+        }
+    }
+
+    fn record(&mut self, plan: &ShardPlan, rec: &OpRecord) {
         // Think invocations report no output and are not requests.
-        let Some(_) = rec.output else { continue };
-        requests += 1;
+        let Some(_) = rec.output else { return };
+        self.requests += 1;
         let lat = rec.t - rec.start + 1;
-        latency.record(lat);
-        per_prio[plan.priority(rec.pid.0).index()].record(lat);
+        self.latency.record(lat);
+        self.per_prio[plan.priority(rec.pid.0).index()].record(lat);
     }
-    ShardReport {
-        shard: plan.shard,
-        steps,
-        wall,
-        all_finished: k.all_finished(),
-        requests,
-        crashes: counters.crashes,
-        recoveries: counters.recoveries,
-        latency,
-        per_prio,
+
+    fn report<M>(self, plan: &ShardPlan, k: &Kernel<M>, steps: u64, wall: Duration) -> ShardReport {
+        let counters = k.counters();
+        ShardReport {
+            shard: plan.shard,
+            steps,
+            wall,
+            all_finished: k.all_finished(),
+            requests: self.requests,
+            crashes: counters.crashes,
+            recoveries: counters.recoveries,
+            latency: self.latency,
+            per_prio: self.per_prio,
+        }
     }
+}
+
+/// Drives one shard to completion, folding its op log into the shard
+/// report one chunk at a time as it runs.
+fn run_shard<M>(plan: &ShardPlan, build: &impl Fn(&ShardPlan) -> Scenario<M>) -> ShardReport {
+    let mut k = prepared_kernel(plan, build);
+    let t0 = Instant::now();
+    let mut d = RoundRobin::new();
+    let mut tally = Tally::new(plan);
+    let mut fold = |recs: std::vec::Drain<'_, OpRecord>| recs.for_each(|r| tally.record(plan, &r));
+    let steps = drive(plan, &mut k, |k, n| run_chunked(k, &mut d, n, &mut fold));
+    tally.report(plan, &k, steps, t0.elapsed())
 }
 
 /// One shard's outcome: throughput (steps, requests) and latency
@@ -669,26 +720,30 @@ mod tests {
 
     /// A toy shard factory: each worker performs its planned requests as
     /// `len`-statement invocations against a shared counter, with output.
+    /// Under a thinking closed loop every odd invocation is a think
+    /// instead, with no output.
     fn toy_service(
         spec: ServiceSpec,
         len: u64,
     ) -> Service<u64, impl Fn(&ShardPlan) -> Scenario<u64> + Sync> {
         Service::new(spec, move |plan| {
             let mut s = Scenario::new(0u64, SystemSpec::hybrid(4));
+            let invs_per_request = if plan.think() > 0 { 2 } else { 1 };
             for w in 0..plan.workers {
-                let reqs = plan.worker_requests(w);
+                let invs = invs_per_request * plan.worker_requests(w);
                 plan.add_worker(
                     &mut s,
                     w,
                     Box::new(FnMachine::new(move |mem: &mut u64, calls| {
                         *mem += 1;
                         let inv = u64::from(calls) + 1;
+                        let output = (inv / len).is_multiple_of(invs_per_request).then_some(*mem);
                         if inv % len != 0 {
                             (StepOutcome::Continue, None)
-                        } else if inv / len >= reqs {
-                            (StepOutcome::Finished, Some(*mem))
+                        } else if inv / len >= invs {
+                            (StepOutcome::Finished, output)
                         } else {
-                            (StepOutcome::InvocationEnd, Some(*mem))
+                            (StepOutcome::InvocationEnd, output)
                         }
                     })),
                 );
@@ -735,7 +790,6 @@ mod tests {
         assert_eq!(p.cohort_of(2), 1);
         assert!(!p.is_held(0) && p.is_held(3));
         assert_eq!(p.think(), 0);
-        assert_eq!(p.expected_invocations(), p.requests);
     }
 
     #[test]
@@ -800,6 +854,67 @@ mod tests {
             canonical(&serial.report_lines(&base)),
             canonical(&parallel.report_lines(&base)),
         );
+    }
+
+    /// The engine's chunked fold equals one fold over the whole log (the
+    /// shard run to completion, then `ops()`) in every `ShardReport` field
+    /// but `wall`, on closed-loop, open-loop and churn plans; and the log
+    /// never holds more than one chunk when it is drained.
+    #[test]
+    fn streamed_fold_equals_whole_log_fold() {
+        // 24,000 three-statement invocations per shard: 72,000 statements,
+        // at least four drains.
+        let base = ServiceSpec::new(1, 6, 24_000).workers_per_shard(3);
+        let specs = [
+            base.arrival(Arrival::ClosedLoop { think: 2 }),
+            base.arrival(Arrival::OpenLoop { cohorts: 3, period: 20_000 }),
+            base.churn(ChurnSpec { victims: 1, period: 5_000, down: 700, cycles: 8 }),
+        ];
+        for spec in specs {
+            let svc = toy_service(spec, 3);
+            let plan = spec.plans()[0];
+            let streamed = run_shard(&plan, &svc.build);
+
+            let mut k = prepared_kernel(&plan, &svc.build);
+            let mut d = RoundRobin::new();
+            let steps = drive(&plan, &mut k, |k, n| k.run(&mut d, n));
+            let mut tally = Tally::new(&plan);
+            k.ops().iter().for_each(|r| tally.record(&plan, r));
+            let whole = tally.report(&plan, &k, steps, Duration::ZERO);
+
+            let fields = |r: &ShardReport| {
+                let ShardReport {
+                    shard,
+                    steps,
+                    wall: _,
+                    all_finished,
+                    requests,
+                    crashes,
+                    recoveries,
+                    latency,
+                    per_prio,
+                } = r.clone();
+                (shard, steps, all_finished, requests, crashes, recoveries, latency, per_prio)
+            };
+            assert_eq!(fields(&streamed), fields(&whole), "{spec:?}");
+            assert!(streamed.all_finished && streamed.requests > 0, "{spec:?}");
+            assert_eq!(k.ops().len() as u64, streamed.steps / 3, "{spec:?}");
+            if let Some(churn) = spec.churn {
+                assert!(streamed.crashes > 0 && churn.cycles > 0);
+            }
+
+            let mut k = prepared_kernel(&plan, &svc.build);
+            let mut d = RoundRobin::new();
+            let (mut drains, mut most) = (0u32, 0usize);
+            let mut fold = |recs: std::vec::Drain<'_, OpRecord>| {
+                drains += 1;
+                most = most.max(recs.len());
+            };
+            assert_eq!(drive(&plan, &mut k, |k, n| run_chunked(k, &mut d, n, &mut fold)), steps);
+            assert!(drains >= 4, "{spec:?}: {drains} drains");
+            assert!(most as u64 <= CHUNK, "{spec:?}: {most} records in one drain");
+            assert!(most > 0);
+        }
     }
 
     /// Satellite fix: an empty latency histogram has no percentiles —
