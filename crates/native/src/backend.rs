@@ -7,8 +7,8 @@
 //! bytes and holds no handle to its backend.
 //!
 //! * **Free** ([`NativeBackend::free`]) — the step hook only counts
-//!   accesses (into a [`StripedCounter`], so the accounting itself is
-//!   contention-free). Threads interleave however the hardware and the
+//!   accesses, into a [`StripedCounter`] lane the thread owns, so after
+//!   its first count it executes no locked instruction. Threads interleave however the hardware and the
 //!   commodity scheduler let them. This is the throughput backend, and the
 //!   one where the paper's quantum axiom does **not** hold: Fig. 3 may
 //!   disagree here, and that disagreement is a *measurement* (see
@@ -24,10 +24,10 @@
 //!   the kernel's, and it decides while every thread waits: same seed,
 //!   same schedule. A statement costs two mutex/condvar handoffs.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::hash::Hasher;
 use std::panic;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -40,29 +40,15 @@ use wfmem::{OptVal, Val};
 
 use crate::cells::{Padded, StripedCounter, EMPTY};
 
-/// Lanes in the access counter: enough for the thread counts the harness
-/// drives (beyond this, counting is contended but still exact).
-const COUNTER_LANES: usize = 16;
+/// Owned lanes in the access counter: one per thread for the thread
+/// counts the harness drives. With the shared lane the counter is 16
+/// cache lines; beyond 15 threads the rest share that lane, contended but
+/// still exact.
+const COUNTER_LANES: usize = 15;
 
 thread_local! {
-    // The current thread's lockstep registration, and a cheap per-thread
-    // lane for the striped access counter (free mode).
+    // The current thread's lockstep registration.
     static REGISTRATION: RefCell<Option<Registration>> = const { RefCell::new(None) };
-    static COUNTER_LANE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
-
-fn my_lane() -> usize {
-    COUNTER_LANE.with(|l| {
-        let v = l.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = NEXT_LANE.fetch_add(1, Ordering::Relaxed);
-        l.set(v);
-        v
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -410,10 +396,13 @@ impl CasCell for NativeCas {
 /// Hardware C&S has consensus number ∞, so — unlike the simulator's
 /// [`wfmem::LocalConsensus`], which Theorem 1 has to *justify* on a
 /// hybrid uniprocessor — the unbounded first-wins semantics holds
-/// unconditionally on any multiprocessor. Success ordering `AcqRel`,
-/// failure/read `Acquire`: whoever learns the decided value also sees
-/// everything the winner published before proposing (the universal
-/// construction's replay depends on exactly this edge).
+/// unconditionally on any multiprocessor. [`decide`](ConsCell::decide)
+/// loads the cell first and returns a decided value from that load, so
+/// replaying a decided slot executes no locked instruction; only a cell
+/// that reads `⊥` is CASed. Load and failure ordering `Acquire`, success
+/// `AcqRel`: whoever learns the decided value also sees everything the
+/// winner published before proposing (the universal construction's
+/// replay depends on exactly this edge).
 ///
 /// # Panics
 ///
@@ -425,9 +414,13 @@ pub struct NativeCons {
 impl ConsCell for NativeCons {
     fn decide(&self, v: Val) -> Val {
         assert_ne!(v, EMPTY, "u64::MAX is the ⊥ sentinel");
-        match self.word.get().compare_exchange(EMPTY, v, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => v,
-            Err(current) => current,
+        let word = self.word.get();
+        match word.load(Ordering::Acquire) {
+            EMPTY => match word.compare_exchange(EMPTY, v, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => v,
+                Err(current) => current,
+            },
+            decided => decided,
         }
     }
 
@@ -457,7 +450,10 @@ impl MemBackend for NativeBackend {
     }
 
     /// The step hook: one call = one counted atomic statement of the
-    /// calling process. Counts the statement and, on a lockstep backend,
+    /// calling process. Counts the statement in the calling thread's own
+    /// [`StripedCounter`] lane (a plain load and store once the thread has
+    /// claimed it, so in free mode the hook executes no locked
+    /// instruction) and, on a lockstep backend,
     /// reports the statement the process was running as `Continue` and
     /// parks the thread until the pacing kernel grants it the next one.
     /// Every accessor calls it before its cell operation; the harness
@@ -465,7 +461,7 @@ impl MemBackend for NativeBackend {
     /// program (Fig. 3's `decide`), whose register accesses are the cells'
     /// own un-stepped operations.
     fn step(&self) {
-        self.inner.accesses.add(my_lane(), 1);
+        self.inner.accesses.add(1);
         if let Some(ls) = &self.inner.lockstep {
             let pid = REGISTRATION.with_borrow(|r| r.as_ref().map(|r| r.1));
             ls.park(pid.expect("lockstep threads must call NativeBackend::register first"));
@@ -579,6 +575,13 @@ pub(crate) mod tests {
         r.write(5);
         assert_eq!(r.read(), Some(5));
         assert_eq!(b.accesses(), 1, "hook-free register accesses count nothing");
+    }
+
+    #[test]
+    fn access_counter_spans_sixteen_lines() {
+        // 15 owned lanes and the shared one: the backend's allocation
+        // keeps the size it had with 16 `fetch_add` lanes.
+        assert_eq!(std::mem::size_of::<StripedCounter<COUNTER_LANES>>(), 16 * 64);
     }
 
     #[test]

@@ -12,13 +12,19 @@
 //! *algorithm*, not of allocator adjacency — the discipline the ROADMAP's
 //! `waitfree-sync` exemplar follows.
 //!
+//! The backend's statement accounting runs on [`StripedCounter`], whose
+//! lanes are single-writer: a thread claims its lane once and from then on
+//! counts with a plain load and store, so the free-mode step hook executes
+//! no locked instruction.
+//!
 //! `⊥` is represented by the same [`EMPTY`] sentinel (`u64::MAX`) the
 //! simulator's queue spec already uses; register and consensus cells
 //! therefore cannot store `u64::MAX` itself (asserted). The cells and
 //! their memory orderings live in [`backend`](crate::backend); the
 //! orderings are justified in `BACKENDS.md`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// `⊥` for value-carrying atomic words.
 pub const EMPTY: u64 = u64::MAX;
@@ -53,46 +59,100 @@ impl<T> Padded<T> {
     }
 }
 
-/// A striped event counter: `LANES` cache-line-padded `u64` lanes, each
-/// thread incrementing its own lane, summed once at the end of a run.
+thread_local! {
+    // The calling thread's index, `usize::MAX` until its first count.
+    static THREAD_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+
+/// The calling thread's index: distinct for every thread the process has
+/// counted on, assigned at its first count and never reused.
+fn thread_index() -> usize {
+    THREAD_INDEX.with(|i| {
+        if i.get() == usize::MAX {
+            i.set(NEXT_THREAD.fetch_add(1, Ordering::Relaxed));
+        }
+        i.get()
+    })
+}
+
+/// One owned lane of a [`StripedCounter`], on a cache line of its own.
+#[derive(Debug, Default)]
+struct Lane {
+    /// The owning thread's index + 1; 0 while unclaimed.
+    owner: AtomicUsize,
+    /// The owner's count: only the owner stores to it.
+    count: AtomicU64,
+}
+
+/// A striped event counter: `LANES` single-writer lanes plus one shared
+/// lane, each on its own cache line, summed once at the end of a run.
 ///
 /// Counting retries or accesses through a single shared counter would put
 /// one hot line on every fast path and distort exactly the contention
-/// being measured; striping (const-generic, so the lane array is inline
-/// with no allocation) makes the accounting itself contention-free for up
-/// to `LANES` concurrent threads and merely contended — never wrong —
-/// beyond that.
+/// being measured. Here thread `t` owns lane `t % LANES` of each counter
+/// it counts on: its first [`add`](Self::add) claims the lane with one
+/// compare-and-swap on the lane's `owner` word, and every later add is a
+/// `Relaxed` load and store of the lane's count, no locked instruction,
+/// exact because no other thread writes that lane. A thread whose lane
+/// another thread owns adds to the shared lane with `fetch_add`: contended,
+/// never wrong, so counting stays exact for any number of threads. A lane
+/// stays owned after its thread exits, so on a counter that outlives its
+/// threads a later thread whose lane is taken counts on the shared lane. The
+/// lanes are inline (const-generic), so a counter allocates nothing.
 ///
 /// # Examples
 ///
 /// ```
 /// use native::cells::StripedCounter;
+/// use std::sync::Arc;
 ///
-/// let c: StripedCounter<4> = StripedCounter::new();
-/// c.add(0, 2);
-/// c.add(7, 3); // lane index wraps modulo LANES
+/// let c = Arc::new(StripedCounter::<4>::new());
+/// c.add(2);
+/// let d = Arc::clone(&c);
+/// std::thread::spawn(move || d.add(3)).join().unwrap();
 /// assert_eq!(c.sum(), 5);
 /// ```
 #[derive(Debug)]
 pub struct StripedCounter<const LANES: usize> {
-    lanes: [Padded<AtomicU64>; LANES],
+    lanes: [Padded<Lane>; LANES],
+    shared: Padded<AtomicU64>,
 }
 
 impl<const LANES: usize> StripedCounter<LANES> {
-    /// A zeroed counter.
+    /// A zeroed counter with every lane unclaimed.
     pub fn new() -> Self {
-        StripedCounter { lanes: std::array::from_fn(|_| Padded::new(AtomicU64::new(0))) }
+        StripedCounter {
+            lanes: std::array::from_fn(|_| Padded::default()),
+            shared: Padded::default(),
+        }
     }
 
-    /// Adds `n` to lane `lane % LANES` (relaxed; the total is read only
-    /// after threads join, which synchronizes).
-    pub fn add(&self, lane: usize, n: u64) {
-        self.lanes[lane % LANES].get().fetch_add(n, Ordering::Relaxed);
+    /// Adds `n` on behalf of the calling thread: to its own lane (claimed
+    /// at its first add) if it owns it, else to the shared lane. Relaxed
+    /// throughout: the total is read only after threads join, which
+    /// synchronizes.
+    pub fn add(&self, n: u64) {
+        let t = thread_index();
+        let (lane, me) = (self.lanes[t % LANES].get(), t + 1);
+        let owner = lane.owner.load(Ordering::Relaxed);
+        let owned = owner == me
+            || owner == 0
+                && lane.owner.compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed).is_ok();
+        if owned {
+            // The single writer: a plain read-modify-write cannot lose an
+            // update, so it needs no locked instruction.
+            lane.count.store(lane.count.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        } else {
+            self.shared.get().fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// The sum over all lanes.
     pub fn sum(&self) -> u64 {
-        self.lanes.iter().map(|l| l.get().load(Ordering::Relaxed)).sum()
+        let owned: u64 = self.lanes.iter().map(|l| l.get().count.load(Ordering::Relaxed)).sum();
+        owned + self.shared.get().load(Ordering::Relaxed)
     }
 }
 
@@ -107,6 +167,7 @@ mod tests {
     use super::*;
     use crate::backend::tests::{cas_clause, cons_clause, reg_clause};
     use crate::backend::{NativeBackend, NativeCas, NativeCons, NativeReg};
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
     use wfmem::backend::MemBackend;
@@ -204,14 +265,57 @@ mod tests {
     }
 
     #[test]
+    fn stress_decided_cons_cell_answers_late_proposers() {
+        // Two racers propose alongside a first proposer; three late
+        // proposers wait until the first has decided, so they find the cell
+        // decided and answer from the load. Every caller gets the winner,
+        // and every decide is one counted statement whichever path it took.
+        for round in 0..20u64 {
+            let b = NativeBackend::free();
+            let c = Arc::new(b.cons());
+            let decided = Arc::new(AtomicBool::new(false));
+            let early: Vec<_> = (0..3u64)
+                .map(|t| {
+                    let (b, c, decided) = (b.clone(), Arc::clone(&c), Arc::clone(&decided));
+                    thread::spawn(move || {
+                        let w = b.decide(&c, t + 1);
+                        if t == 0 {
+                            decided.store(true, Ordering::Release);
+                        }
+                        vec![w]
+                    })
+                })
+                .collect();
+            let late: Vec<_> = (0..3u64)
+                .map(|t| {
+                    let (b, c, decided) = (b.clone(), Arc::clone(&c), Arc::clone(&decided));
+                    thread::spawn(move || {
+                        while !decided.load(Ordering::Acquire) {
+                            thread::yield_now();
+                        }
+                        (0..=(round + t) % 4).map(|k| b.decide(&c, 10 + 4 * t + k)).collect()
+                    })
+                })
+                .collect();
+            let got: Vec<u64> =
+                early.into_iter().chain(late).flat_map(|h| h.join().unwrap()).collect();
+            let winner = got[0];
+            assert!((1..=3).contains(&winner), "round {round}: a late proposal won");
+            assert!(got.iter().all(|&w| w == winner), "round {round}: split decision {got:?}");
+            assert_eq!(b.accesses(), got.len() as u64, "round {round}: one statement per decide");
+            assert_eq!(b.read_decided(&c), Some(winner));
+        }
+    }
+
+    #[test]
     fn stress_striped_counter_exact_under_contention() {
         let c = Arc::new(StripedCounter::<8>::new());
         let handles: Vec<_> = (0..6)
-            .map(|t| {
+            .map(|_| {
                 let c = Arc::clone(&c);
                 thread::spawn(move || {
                     for i in 0..500u64 {
-                        c.add(t, i % 3);
+                        c.add(i % 3);
                     }
                 })
             })
@@ -221,6 +325,55 @@ mod tests {
         }
         // Per thread: sum of i % 3 for i in 0..500 = 166 * 3 + 0 + 1.
         assert_eq!(c.sum(), 6 * 499);
+    }
+
+    #[test]
+    fn striped_counter_exact_past_the_owned_lanes() {
+        // 24 threads on 4 lanes: at most 4 own a lane, the others count on
+        // the shared lane, and the sum is still exact. A thread's first add
+        // settles whether it owns its lane, so each owned lane holds its
+        // owner's whole count and the shared lane everyone else's.
+        let c = Arc::new(StripedCounter::<4>::new());
+        let handles: Vec<_> = (0..24)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                thread::spawn(move || (0..500u64).for_each(|i| c.add(i % 3)))
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.sum(), 24 * 499);
+        let owned = c.lanes.iter().filter(|l| l.get().owner.load(Ordering::Relaxed) != 0).count();
+        assert!(owned <= 4);
+        assert_eq!(c.shared.get().load(Ordering::Relaxed), (24 - owned as u64) * 499);
+    }
+
+    #[test]
+    fn one_thread_owns_a_lane_in_each_counter() {
+        // Ownership is per counter: a thread that owns its lane in one
+        // counter owns the same lane in another, and both count exactly.
+        let (a, b) = (StripedCounter::<4>::new(), StripedCounter::<4>::new());
+        for i in 0..100 {
+            a.add(1);
+            b.add(i);
+        }
+        assert_eq!((a.sum(), b.sum()), (100, 4950));
+        for c in [&a, &b] {
+            assert_eq!(c.shared.get().load(Ordering::Relaxed), 0, "counted off its own lane");
+        }
+    }
+
+    #[test]
+    fn lone_thread_never_touches_the_shared_lane() {
+        // The fast path: after its claim, a thread's adds are plain stores
+        // to its own lane, and the shared lane's locked add never runs.
+        let c = StripedCounter::<4>::new();
+        (0..1000).for_each(|_| c.add(2));
+        assert_eq!(c.shared.get().load(Ordering::Relaxed), 0);
+        let counts: Vec<u64> = c.lanes.iter().map(|l| l.get().count.load(Ordering::Relaxed)).collect();
+        assert_eq!(counts.iter().filter(|&&n| n == 2000).count(), 1, "one owned lane: {counts:?}");
+        assert_eq!(c.sum(), 2000);
     }
 
     #[test]

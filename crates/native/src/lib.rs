@@ -32,7 +32,7 @@
 //!
 //! * [`cells`] — the `#[repr(align(64))]` cache-line padding, the `⊥`
 //!   sentinel and the const-generic striped counter the accounting runs
-//!   on.
+//!   on, whose single-writer lanes count without a locked instruction.
 //! * [`backend`] — [`backend::NativeBackend`]: the `MemBackend`
 //!   implementation with its padded atomic cells (register, C&S,
 //!   first-wins consensus), free and lockstep pacing.

@@ -16,9 +16,11 @@
 # parallel == serial is also tested oversubscribed.
 #
 # `scripts/check.sh --stress N` runs only the release build and then the
-# grid stage N times in a row, with one CPU-burning process per CPU
-# (`nproc` of them) running throughout, so every determinism claim is
-# checked under load as well. It stops at the first failing run.
+# grid stage and the native crate's tests N times in a row, with one
+# CPU-burning process per CPU (`nproc` of them) running throughout, so
+# every determinism claim is checked under load as well, and the native
+# cells' stress tests (single-winner consensus, exact striped counting)
+# meet CPU contention on every run. It stops at the first failing run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,6 +54,7 @@ echo "== cargo build --release =="
 cargo build --release
 
 if ((stress > 0)); then
+    cargo test -q --release -p native --no-run
     burners=()
     trap 'kill "${burners[@]}" 2> /dev/null || true' EXIT
     for _ in $(seq "$(nproc)"); do
@@ -59,8 +62,9 @@ if ((stress > 0)); then
         burners+=($!)
     done
     for i in $(seq "$stress"); do
-        echo "== stress run $i/$stress: every grid under ${#burners[@]} CPU burners =="
+        echo "== stress run $i/$stress: every grid and the native tests under ${#burners[@]} CPU burners =="
         grid_stage
+        cargo test -q --release -p native
     done
     echo "All $stress stress runs passed."
     exit 0
