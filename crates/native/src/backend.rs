@@ -8,11 +8,12 @@
 //!
 //! * **Free** ([`NativeBackend::free`]) — the step hook only counts
 //!   accesses, into a [`StripedCounter`] lane the thread owns, so after
-//!   its first count it executes no locked instruction. Threads interleave however the hardware and the
-//!   commodity scheduler let them. This is the throughput backend, and the
-//!   one where the paper's quantum axiom does **not** hold: Fig. 3 may
-//!   disagree here, and that disagreement is a *measurement* (see
-//!   EXPERIMENTS.md, "Native execution").
+//!   its first count it executes no locked instruction. Threads
+//!   interleave however the hardware and the commodity scheduler let
+//!   them. This is the throughput backend, and the one where the paper's
+//!   quantum axiom does **not** hold: Fig. 3 may disagree here, and that
+//!   disagreement is a *measurement* (see EXPERIMENTS.md, "Native
+//!   execution").
 //! * **Lockstep** ([`NativeBackend::lockstep`]) — the simulator's hybrid
 //!   scheduler paces the threads: [`NativeBackend::pace`] runs a
 //!   `sched_sim` [`Kernel`] (`SystemSpec::hybrid(Q)`, one processor, a

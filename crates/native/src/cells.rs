@@ -266,10 +266,11 @@ mod tests {
 
     #[test]
     fn stress_decided_cons_cell_answers_late_proposers() {
-        // Two racers propose alongside a first proposer; three late
-        // proposers wait until the first has decided, so they find the cell
-        // decided and answer from the load. Every caller gets the winner,
-        // and every decide is one counted statement whichever path it took.
+        // Three early proposers race for the cell; three late proposers
+        // wait until early proposer 0's decide has returned, so they find
+        // the cell decided and answer from the load. Every caller gets the
+        // winner, and every decide is one counted statement whichever path
+        // it took.
         for round in 0..20u64 {
             let b = NativeBackend::free();
             let c = Arc::new(b.cons());
