@@ -22,6 +22,18 @@
 //! * Cross-processor interleaving is fully asynchronous (chosen by the
 //!   decider), so consensus numbers retain their usual meaning across
 //!   processors.
+//!
+//! A statement is a *dispatch* followed by its *execution*. The dispatch
+//! resolves every decision (processor, window holder, first-window
+//! credit) before it mutates anything, then opens a window if one is due
+//! and does the preemption and invocation bookkeeping; the execution runs
+//! the holder's machine statement and accounts for it. [`Kernel::step`]
+//! does both for every statement. [`Kernel::run`] is `step` repeated, but
+//! it dispatches only where a window opens: while a holder continues its
+//! invocation with credit left, on the only processor with ready
+//! processes and with no lifecycle event due, the dispatch has nothing to
+//! decide and nothing to write, so `run` executes the holder's next
+//! statement directly.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -297,6 +309,23 @@ impl Default for Window {
     fn default() -> Self {
         Window { holder: ProcessId(0), prio: Priority(0), count: 0, credit: 0, open: false }
     }
+}
+
+/// What the read-only phase of a dispatch resolved ([`Kernel::decide`]):
+/// who runs next, where and at which priority, and what the mutation
+/// phase ([`Kernel::dispatch`]) then applies.
+struct Decided {
+    pid: ProcessId,
+    cpu: ProcessorId,
+    prio: Priority,
+    /// The open window at `(cpu, prio)` as the dispatch found it.
+    win: Option<Window>,
+    /// The credit of the window this dispatch opens, if it opens one.
+    new_window_credit: Option<u32>,
+    /// The decisions taken, as `(kind, arity, answer)`: at most cpu,
+    /// holder and first credit.
+    taken: [(DecisionKind, usize, usize); 3],
+    n_taken: usize,
 }
 
 /// A completed object invocation, recorded for linearizability oracles.
@@ -938,7 +967,7 @@ impl<M> Kernel<M> {
 
     /// Refreshes processor `c`'s cached dispatch state after a status
     /// transition of one of its processes (`add`, `release`, `crash`,
-    /// `recover`, or a process finishing in [`Kernel::step_core`]).
+    /// `recover`, or a process finishing in [`Kernel::execute`]).
     fn refresh_dispatch(&mut self, c: usize) {
         let (ready, top) = self.scan_dispatch(c);
         let cpu = &mut self.cpus[c];
@@ -961,13 +990,33 @@ impl<M> Kernel<M> {
         cpus_agree && members == self.procs.len()
     }
 
-    /// Core dispatch-and-execute, parametric in a fallible choice source.
-    /// **No state is mutated until every needed choice has been supplied**,
-    /// so a `None` from the source aborts the step cleanly.
+    /// One statement: [`Kernel::decide`], [`Kernel::dispatch`], then
+    /// [`Kernel::execute`]. Parametric in a fallible choice source: **no
+    /// state is mutated until every needed choice has been supplied**, so
+    /// a `None` from the source aborts the step cleanly.
     fn step_core(
         &mut self,
         choose: &mut dyn FnMut(Choice<'_>, usize) -> Option<usize>,
     ) -> StepAttempt {
+        let d = match self.decide(choose) {
+            Ok(d) => d,
+            Err(attempt) => return attempt,
+        };
+        self.dispatch(&d);
+        let t = self.clock;
+        let (outcome, _) = self.execute(d.pid, d.cpu, d.prio);
+        StepAttempt::Stepped(StepReport { t, pid: d.pid, cpu: d.cpu, prio: d.prio, outcome })
+    }
+
+    /// The read-only phase of a dispatch: resolves every decision (cpu,
+    /// holder, first credit) for the next statement and touches nothing
+    /// but the scan buffers. `Err` carries a quiescent system or the
+    /// decision the source declined to make.
+    #[inline(always)]
+    fn decide(
+        &mut self,
+        choose: &mut dyn FnMut(Choice<'_>, usize) -> Option<usize>,
+    ) -> Result<Decided, StepAttempt> {
         // Decisions resolved this step (at most cpu + holder + first-credit),
         // buffered so an aborted step (NeedChoice) records nothing.
         let mut taken = [(DecisionKind::Cpu, 0usize, 0usize); 3];
@@ -976,7 +1025,6 @@ impl<M> Kernel<M> {
             self.dispatch_consistent(),
             "cached per-processor dispatch state diverged from a full recomputation"
         );
-        // --- read-only phase: resolve all decisions ---
         // Ready-cpu options into a reusable buffer (no per-step
         // allocation), ascending because processors are walked in order.
         let cpus = &mut self.scratch_cpus;
@@ -989,7 +1037,7 @@ impl<M> Kernel<M> {
                 .map(|(i, _)| ProcessorId(i as u32)),
         );
         if cpus.is_empty() {
-            return StepAttempt::Quiescent;
+            return Err(StepAttempt::Quiescent);
         }
         let cpu = if cpus.len() == 1 {
             cpus[0]
@@ -1001,7 +1049,7 @@ impl<M> Kernel<M> {
                     n_taken += 1;
                     cpus[i]
                 }
-                None => return StepAttempt::NeedChoice { arity: cpus.len(), kind: "cpu" },
+                None => return Err(StepAttempt::NeedChoice { arity: cpus.len(), kind: "cpu" }),
             }
         };
         let prio = self.cpus[cpu.index()].top.expect("runnable cpu has a top priority");
@@ -1045,7 +1093,10 @@ impl<M> Kernel<M> {
                             cands[i]
                         }
                         None => {
-                            return StepAttempt::NeedChoice { arity: cands.len(), kind: "holder" };
+                            return Err(StepAttempt::NeedChoice {
+                                arity: cands.len(),
+                                kind: "holder",
+                            });
                         }
                     }
                 };
@@ -1062,10 +1113,10 @@ impl<M> Kernel<M> {
                             i as u32 + 1
                         }
                         None => {
-                            return StepAttempt::NeedChoice {
+                            return Err(StepAttempt::NeedChoice {
                                 arity: q as usize,
                                 kind: "first-credit",
-                            }
+                            })
                         }
                     }
                 } else {
@@ -1074,15 +1125,23 @@ impl<M> Kernel<M> {
                 (chosen, Some(credit))
             }
         };
+        Ok(Decided { pid, cpu, prio, win, new_window_credit, taken, n_taken })
+    }
 
-        // --- mutation phase ---
-        self.counters.decisions += n_taken as u64;
+    /// The mutation phase of a dispatch, everything up to the statement
+    /// itself: records the decisions, opens a fresh window (accounting a
+    /// displaced holder's quantum preemption), emits the Dispatch event,
+    /// updates the interleaving marks, and starts a new invocation.
+    #[inline(always)]
+    fn dispatch(&mut self, d: &Decided) {
+        let Decided { pid, cpu, prio, win, .. } = *d;
+        self.counters.decisions += d.n_taken as u64;
         if self.observing() {
-            for &(kind, arity, chosen) in &taken[..n_taken] {
+            for &(kind, arity, chosen) in &d.taken[..d.n_taken] {
                 self.emit(ObsEvent::Decision { kind, arity, chosen });
             }
         }
-        if let Some(credit) = new_window_credit {
+        if let Some(credit) = d.new_window_credit {
             // Opening a fresh window. If the previous window's holder is
             // still ready mid-invocation and is being displaced, that is a
             // quantum preemption (lawful: its window was exhausted or
@@ -1174,6 +1233,20 @@ impl<M> Kernel<M> {
                 self.emit(ObsEvent::InvStart { t, pid, inv_index });
             }
         }
+    }
+
+    /// Executes the dispatched holder's next statement: the machine call,
+    /// the clock, the window's count and close, status and stats, the
+    /// completion record, the statement's events and the hash refresh.
+    /// Returns the statement's outcome and whether the holder still holds
+    /// its window with credit left — the case in which [`Kernel::run`]
+    /// executes its next statement without a dispatch. Kept out of line:
+    /// inlined into [`Kernel::step_core`] it also changes the code of
+    /// [`Kernel::step_scripted`], which the explorer runs, and slowed it.
+    #[inline(never)]
+    fn execute(&mut self, pid: ProcessId, cpu: ProcessorId, prio: Priority) -> (StepOutcome, bool) {
+        let t = self.clock;
+        let idx = pid.index();
         // Labels are interned into the attached trace's symbol table;
         // without a trace the discarding context makes the whole label
         // path a no-op (and allocation-free).
@@ -1194,7 +1267,7 @@ impl<M> Kernel<M> {
             .windows
             .iter_mut()
             .find(|w| w.prio == prio && w.open)
-            .expect("window opened above");
+            .expect("the dispatch left the holder an open window");
         debug_assert_eq!(w.holder, pid);
         w.count += 1;
         let (effect, finished) = match outcome {
@@ -1274,7 +1347,7 @@ impl<M> Kernel<M> {
             // Only the stepping process and its cpu's windows changed.
             self.refresh_hash(idx);
         }
-        StepAttempt::Stepped(StepReport { t, pid, cpu, prio, outcome })
+        (outcome, close_reason.is_none())
     }
 
     /// Executes one atomic statement, resolving decisions via `decider`.
@@ -1282,6 +1355,10 @@ impl<M> Kernel<M> {
     /// the system is quiescent but lifecycle events remain (e.g. everyone
     /// ready has crashed and a recovery is pending), the next group is
     /// early-fired and the step retried.
+    ///
+    /// Every call dispatches (see the [module docs](self)); to run many
+    /// statements, [`Kernel::run`] reaches the same state and takes the
+    /// same decisions while dispatching only once per quantum window.
     ///
     /// Returns `None` when the system is quiescent (no ready process).
     pub fn step(&mut self, decider: &mut dyn Decider) -> Option<StepReport> {
@@ -1337,15 +1414,91 @@ impl<M> Kernel<M> {
 
     /// Runs until quiescent or `max_steps` statements, whichever first.
     /// Returns the number of statements executed.
+    ///
+    /// Equivalent to calling [`Kernel::step`] up to `max_steps` times: the
+    /// same decisions in the same order, the same counters, records and
+    /// events. It dispatches only where a quantum window opens, though.
+    /// Under Axiom 2 a holder whose window has credit left keeps its
+    /// processor, so while it continues its invocation, its processor is
+    /// the only one with ready processes and no lifecycle event is due,
+    /// there is nothing to decide and `run` executes the holder's next
+    /// statement directly. Debug builds re-run the dispatch's read-only
+    /// phase before each such statement and assert that it would choose
+    /// the holder with no decision.
     pub fn run(&mut self, decider: &mut dyn Decider, max_steps: u64) -> u64 {
         let mut n = 0;
         while n < max_steps {
-            if self.step(decider).is_none() {
-                break;
-            }
+            let Some(r) = self.step(decider) else { break };
             n += 1;
+            if r.outcome != StepOutcome::Continue || !self.holder_keeps_window(r.cpu, r.prio) {
+                continue;
+            }
+            // Until the window closes the ready set cannot change: the
+            // holder is mid-invocation, and only a lifecycle event (checked
+            // per statement) or a caller's release, crash or recover (not
+            // possible inside this call) touches another process's status.
+            while n < max_steps && !self.lifecycle_due() {
+                #[cfg(debug_assertions)]
+                self.assert_dispatch_skippable(r.pid, r.cpu, r.prio);
+                n += 1;
+                if !self.execute(r.pid, r.cpu, r.prio).1 {
+                    break;
+                }
+            }
         }
         n
+    }
+
+    /// Whether the next dispatch is bound to continue the holder of the
+    /// window at `(cpu, prio)`, called right after that holder's statement
+    /// continued its invocation. There is no cpu decision if the dispatch
+    /// just made found `cpu` the only processor with ready processes: its
+    /// options are still in the scan buffer, and a continuing statement
+    /// changes no status. There is no holder decision and no new window
+    /// if the window is open with credit left.
+    fn holder_keeps_window(&self, cpu: ProcessorId, prio: Priority) -> bool {
+        self.scratch_cpus[..] == [cpu]
+            && self.cpus[cpu.index()]
+                .windows
+                .iter()
+                .any(|w| w.prio == prio && w.open && w.count < w.credit)
+    }
+
+    /// Whether a scheduled lifecycle event is due at the current clock.
+    #[inline]
+    fn lifecycle_due(&self) -> bool {
+        self.lifecycle.get(self.lifecycle_cursor).is_some_and(|e| e.t <= self.clock)
+    }
+
+    /// The debug self-check of [`Kernel::run`]'s skipped dispatch: the
+    /// read-only phase (which also checks the cached dispatch state),
+    /// given a choice source that refuses every decision, must pick `pid`
+    /// on `cpu` at `prio` with no decision and no new window, and every
+    /// write the mutation phase would make must already be in place.
+    #[cfg(debug_assertions)]
+    fn assert_dispatch_skippable(&mut self, pid: ProcessId, cpu: ProcessorId, prio: Priority) {
+        let d = match self.decide(&mut |_, _| None) {
+            Ok(d) => d,
+            Err(attempt) => panic!("a skipped dispatch of {pid:?} needed {attempt:?}"),
+        };
+        assert_eq!((d.pid, d.cpu, d.prio), (pid, cpu, prio), "a skipped dispatch changed holder");
+        assert_eq!(d.n_taken, 0, "a skipped dispatch took a decision");
+        assert_eq!(d.new_window_credit, None, "a skipped dispatch opened a window");
+        assert_eq!(self.cpus[cpu.index()].last, Some(pid), "a skipped dispatch changed `last`");
+        let h = &self.procs[pid.index()];
+        assert!(
+            h.mid_invocation && h.ever_dispatched && !h.interleaved_same && !h.interleaved_higher,
+            "a skipped dispatch would have reset the holder's flags"
+        );
+        assert!(
+            self.cpus[cpu.index()].members.iter().map(|&m| &self.procs[m as usize]).all(|p| {
+                p.pid == pid
+                    || !(p.mid_invocation && p.status == Status::Ready)
+                    || (p.prio == prio && p.interleaved_same)
+                    || (p.prio < prio && p.interleaved_higher)
+            }),
+            "a skipped dispatch would have marked an interleaving"
+        );
     }
 
     /// Index-free key of one process's scheduling-relevant state: its

@@ -85,6 +85,23 @@ echo "== perfbench builds against this tree (lockfile unchanged) =="
 # only to the gitignored perfbench/target/.
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench correctness smoke (every workload, untraced and traced) =="
+# One short run of each benchmark workload, untraced and traced. Every run
+# checks its own outputs (parallel == serial service reports, Table 1's
+# committed minimum Q, the traced runs' agreement with the program), and
+# its last line must report them all correct with no failed operation.
+# Only the verdict is read, never a timing.
+for workload in explore service table1 native; do
+    for trace in 0 1; do
+        result="$(perfbench/target/release/perfbench --workload "$workload" --seed 0 \
+            --seconds 0.01 --trace "$trace" | tail -n 1)"
+        if [[ $result != *'"correct": true,'* || $result != *'"failed": 0,'* ]]; then
+            echo "perfbench --workload $workload --trace $trace: $result" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "== every grid (experiments --jobs 4) + byte-for-byte artifact gates =="
 grid_stage
 
